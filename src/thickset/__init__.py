@@ -57,7 +57,6 @@ from .errors import (
     ThicksetError,
 )
 from .functions import (
-    CertifiedValue,
     DerivativeWindow,
     FunctionSpec,
     Polynomial,
@@ -90,5 +89,8 @@ from .search import (
     verify_mvt_bounds,
     verify_witness,
 )
+
+# Certified enclosures are closed intervals; this name denotes the same type.
+CertifiedValue = ClosedInterval
 
 __version__ = "0.1.0"

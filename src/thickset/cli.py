@@ -294,8 +294,7 @@ def _cmd_counterexample(args) -> int:
         parts = counterexample_parts(params)
         payload = {}
         for name in ("I1", "I2", "I3", "I4", "I5"):
-            iv = parts[name]
-            payload[name] = [rational_str(iv.lo), rational_str(iv.hi)]
+            payload[name] = parts[name].to_json()
         for name in ("G1", "G2", "G3", "G4"):
             g = parts[name]
             payload[name] = [rational_str(g.lo), rational_str(g.hi)]
@@ -372,12 +371,15 @@ def _cmd_sweep(args) -> int:
          args.strict_window, precision)
         for s in slopes
     ]
-    if args.jobs == 1:
+    # The pool starts all its workers at once: never more than there are
+    # probes to run or CPUs to run them on.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_sweep_probe(*task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_probe, *zip(*tasks)))
     for slope, entry in zip(slopes, results):
         entry["in_window"] = bool(window and window.contains(slope))

@@ -47,6 +47,8 @@ def to_rational(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, float):
         raise DomainError(f"floats are not accepted as coordinates: {value!r}")
+    if isinstance(value, bool):
+        raise DomainError(f"booleans are not accepted as coordinates: {value!r}")
     return Fraction(value)
 
 
@@ -57,7 +59,8 @@ def rational_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class ClosedInterval:
-    """A closed interval [lo, hi] with lo <= hi."""
+    """A closed interval [lo, hi] with lo <= hi; also the type of certified
+    enclosures of a real value (an exact value v is [v, v])."""
 
     lo: Fraction
     hi: Fraction
@@ -89,12 +92,8 @@ class ClosedInterval:
             return None
         return ClosedInterval(lo, hi)
 
-    def translate(self, shift: Fraction) -> "ClosedInterval":
-        return ClosedInterval(self.lo + shift, self.hi + shift)
-
-    def scale(self, factor: Fraction) -> "ClosedInterval":
-        a, b = self.lo * factor, self.hi * factor
-        return ClosedInterval(min(a, b), max(a, b))
+    def to_json(self) -> list[str]:
+        return [rational_str(self.lo), rational_str(self.hi)]
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -187,10 +186,11 @@ class CantorStage:
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if self.parent is not None:
-            self._check_nested_in(self.parent)
+            self.check_nested_in(self.parent)
 
-    def _check_nested_in(self, parent: "CantorStage") -> None:
-        # Merge walk: every interval must land inside some parent interval.
+    def check_nested_in(self, parent: "CantorStage") -> None:
+        """Raise DomainError unless every interval lies inside some interval
+        of ``parent`` (one merge walk over both interval lists)."""
         j = 0
         for iv in self.intervals:
             while j < len(parent.intervals) and parent.intervals[j].hi < iv.lo:
@@ -212,9 +212,6 @@ class CantorStage:
 
     def hull(self) -> ClosedInterval:
         return ClosedInterval(self.min, self.max)
-
-    def total_length(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
 
     def contains_point(self, x: Fraction) -> bool:
         return self.interval_containing_point(x) is not None
@@ -298,7 +295,7 @@ class GapBridgeReport:
             "endpoint": rational_str(self.endpoint),
             "side": self.side,
             "gap": [rational_str(self.gap.lo), rational_str(self.gap.hi)],
-            "bridge": [rational_str(self.bridge.lo), rational_str(self.bridge.hi)],
+            "bridge": self.bridge.to_json(),
             "local_thickness": rational_str(self.local_thickness),
         }
 
@@ -408,10 +405,6 @@ def thickness(stage: CantorStage) -> ThicknessResult:
     return ThicknessResult(best.local_thickness, best)
 
 
-def thickness_value(stage: CantorStage) -> Fraction:
-    return thickness(stage).value
-
-
 # ---------------------------------------------------------------------------
 # Set operations
 # ---------------------------------------------------------------------------
@@ -457,16 +450,21 @@ def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -
 def stage_to_json(stage: CantorStage) -> dict:
     return {
         "depth": stage.depth,
-        "intervals": [[rational_str(iv.lo), rational_str(iv.hi)] for iv in stage.intervals],
+        "intervals": [iv.to_json() for iv in stage.intervals],
     }
 
 
 def stage_from_json(data: dict) -> CantorStage:
+    """Parse a stage object; the depth must be a JSON integer and every
+    coordinate an integer or a 'p/q' string (floats and booleans are
+    rejected, never rounded)."""
     try:
-        depth = int(data["depth"])
+        depth = data["depth"]
         pairs = data["intervals"]
-        ivs = tuple(ClosedInterval(Fraction(lo), Fraction(hi)) for lo, hi in pairs)
-    except (KeyError, TypeError, ValueError) as exc:
+        if type(depth) is not int:
+            raise DomainError(f"stage depth must be an integer, got {depth!r}")
+        ivs = tuple(ClosedInterval(to_rational(lo), to_rational(hi)) for lo, hi in pairs)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed stage object: {exc}") from exc
     degenerate = any(iv.length == 0 for iv in ivs)
     return CantorStage(ivs, depth=depth, allow_degenerate=degenerate)

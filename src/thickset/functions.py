@@ -197,42 +197,28 @@ def sign_on_interval(p: Polynomial, window: ClosedInterval) -> Optional[int]:
 def isolate_roots(
     p: Polynomial, window: ClosedInterval, max_width: Fraction
 ) -> list[ClosedInterval]:
-    """Disjoint subintervals of ``window`` of width <= max_width that
-    together contain every root of p in the window."""
+    """Subintervals of ``window`` of width <= max_width, one per distinct
+    root when roots are more than max_width apart, that together contain
+    every root of p in the window (neighbours may share an endpoint)."""
     if p.is_zero:
         raise DomainError("cannot isolate roots of the zero polynomial")
-    p = square_free_part(p)
     out: list[ClosedInterval] = []
 
-    def recurse(seg: ClosedInterval) -> None:
-        n = count_roots(p, seg)
-        if n == 0:
-            return
-        if seg.length <= max_width:
-            out.append(seg)
-            return
-        mid = seg.midpoint
-        recurse(ClosedInterval(seg.lo, mid))
-        # Avoid double counting a root exactly at the midpoint.
-        if p(mid) == 0:
-            right = ClosedInterval(mid, seg.hi)
-            deflated, _ = p.divmod_linear(mid)
-            if not deflated.is_zero and count_roots(deflated, right) > 0:
-                recurse_right(right, deflated)
-        else:
-            recurse(ClosedInterval(mid, seg.hi))
-
-    def recurse_right(seg: ClosedInterval, q: Polynomial) -> None:
+    def recurse(seg: ClosedInterval, q: Polynomial) -> None:
+        # q has the roots of p in seg, less the root at seg.lo when the left
+        # neighbour already reported it.
         if count_roots(q, seg) == 0:
             return
         if seg.length <= max_width:
             out.append(seg)
             return
         mid = seg.midpoint
-        recurse_right(ClosedInterval(seg.lo, mid), q)
-        recurse_right(ClosedInterval(mid, seg.hi), q)
+        recurse(ClosedInterval(seg.lo, mid), q)
+        if q(mid) == 0:
+            q, _ = q.divmod_linear(mid)
+        recurse(ClosedInterval(mid, seg.hi), q)
 
-    recurse(window)
+    recurse(window, square_free_part(p))
     return out
 
 
@@ -255,50 +241,6 @@ def range_bounds(
                 enclosure = p.interval_eval(seg)
                 candidates.extend([enclosure.lo, enclosure.hi])
     return ClosedInterval(min(candidates), max(candidates))
-
-
-# ---------------------------------------------------------------------------
-# CertifiedValue: an outward-rounded enclosure of a real number
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A rational interval [lo, hi] guaranteed to contain the true value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", to_rational(self.lo))
-        object.__setattr__(self, "hi", to_rational(self.hi))
-        if self.lo > self.hi:
-            raise DomainError(f"enclosure endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def as_interval(self) -> ClosedInterval:
-        return ClosedInterval(self.lo, self.hi)
-
-    def to_json(self) -> list[str]:
-        return [rational_str(self.lo), rational_str(self.hi)]
-
-    @staticmethod
-    def exact(x: RationalLike) -> "CertifiedValue":
-        x = to_rational(x)
-        return CertifiedValue(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +357,7 @@ def monotone_inverse(
     y: RationalLike,
     bracket: ClosedInterval,
     precision: RationalLike,
-) -> CertifiedValue:
+) -> ClosedInterval:
     """Certified enclosure of f^{-1}(y) on a bracket where f is strictly
     monotone.
 
@@ -444,9 +386,9 @@ def monotone_inverse(
     if not (f_lo <= y <= f_hi):
         raise RangeError(f"target value {y if sign > 0 else -y} outside f({bracket})")
     if f_lo == y:
-        return CertifiedValue.exact(lo)
+        return ClosedInterval(lo, lo)
     if f_hi == y:
-        return CertifiedValue.exact(hi)
+        return ClosedInterval(hi, hi)
 
     # Bisection over an integer grid: endpoints a/den, b/den with den the
     # common denominator, doubled each step so midpoints stay exact.
@@ -460,12 +402,13 @@ def monotone_inverse(
         m = (a + b) // 2
         s = sign_at(m, den)
         if s == 0:
-            return CertifiedValue.exact(Fraction(m, den))
+            hit = Fraction(m, den)
+            return ClosedInterval(hit, hit)
         if s < 0:
             a = m
         else:
             b = m
-    return CertifiedValue(Fraction(a, den), Fraction(b, den))
+    return ClosedInterval(Fraction(a, den), Fraction(b, den))
 
 
 def derivative_ratio_bound(f: FunctionSpec, window: ClosedInterval) -> Fraction:

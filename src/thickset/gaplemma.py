@@ -126,11 +126,9 @@ class IntersectionWitness:
 
     def to_json(self) -> dict:
         return {
-            "common": [
-                [rational_str(iv.lo), rational_str(iv.hi)] for iv in self.common.intervals
-            ],
+            "common": [iv.to_json() for iv in self.common.intervals],
             "sample_point": rational_str(self.sample_point),
-            "chain": [[rational_str(iv.lo), rational_str(iv.hi)] for iv in self.chain],
+            "chain": [iv.to_json() for iv in self.chain],
         }
 
 
@@ -192,16 +190,12 @@ class GapLemmaViolation(InternalContradictionError):
 
 def _require_refinement_chain(stages: Sequence[CantorStage], label: str) -> None:
     for d in range(1, len(stages)):
-        child, parent = stages[d], stages[d - 1]
-        j = 0
-        for iv in child.intervals:
-            while j < len(parent.intervals) and parent.intervals[j].hi < iv.lo:
-                j += 1
-            if j >= len(parent.intervals) or not parent.intervals[j].contains_interval(iv):
-                raise DomainError(
-                    f"{label} is not a refinement chain: interval {iv} at index {d} "
-                    f"is not nested in the previous stage"
-                )
+        try:
+            stages[d].check_nested_in(stages[d - 1])
+        except DomainError as exc:
+            raise DomainError(
+                f"{label} is not a refinement chain at index {d}: {exc}"
+            ) from exc
 
 
 def persistent_intersect(

@@ -17,6 +17,11 @@ Three finders, all exact or certified:
   five-interval construction avoids {x - t, x, x + t^2} at its largest-gap
   endpoints.
 
+``find_3ap`` and ``find_config`` share one orient-and-frame step
+(``_orient_and_frame``): the 3-AP is the f(t) = t case of the configuration,
+and the two differ only in their hypothesis gates, their bridge inequalities
+and the map applied to the right bridge piece.
+
 Every witness carries nested membership chains and replays independently via
 ``verify_witness``.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .constructions import (
     CounterexampleParams,
@@ -57,7 +62,6 @@ from .errors import (
     PrecisionError,
 )
 from .functions import (
-    CertifiedValue,
     FunctionSpec,
     derivative_ratio_bound,
     derivative_window,
@@ -214,8 +218,8 @@ class ConfigWitness:
     """
 
     x: Fraction
-    t: CertifiedValue
-    ft: CertifiedValue
+    t: ClosedInterval
+    ft: ClosedInterval
     depth: int
     chains: tuple[Chain, Chain, Chain]
 
@@ -233,10 +237,7 @@ class ConfigWitness:
                 raise DomainError("deepest chain entry must contain its point enclosure")
 
     def point_enclosures(self) -> tuple[ClosedInterval, ClosedInterval, ClosedInterval]:
-        left = ClosedInterval(self.x - self.t.hi, self.x - self.t.lo)
-        mid = ClosedInterval(self.x, self.x)
-        right = ClosedInterval(self.x + self.ft.lo, self.x + self.ft.hi)
-        return left, mid, right
+        return _point_enclosures(self.x, self.t, self.ft)
 
     def to_json(self) -> dict:
         return {
@@ -244,11 +245,19 @@ class ConfigWitness:
             "t": self.t.to_json(),
             "ft": self.ft.to_json(),
             "depth": self.depth,
-            "chains": [
-                [[rational_str(iv.lo), rational_str(iv.hi)] for iv in chain]
-                for chain in self.chains
-            ],
+            "chains": [[iv.to_json() for iv in chain] for chain in self.chains],
         }
+
+
+def _point_enclosures(
+    x: Fraction, t: ClosedInterval, ft: ClosedInterval
+) -> tuple[ClosedInterval, ClosedInterval, ClosedInterval]:
+    """Enclosures of the three configuration points x - t, x, x + f(t)."""
+    return (
+        ClosedInterval(x - t.hi, x - t.lo),
+        ClosedInterval(x, x),
+        ClosedInterval(x + ft.lo, x + ft.hi),
+    )
 
 
 def _membership_chain(
@@ -266,16 +275,11 @@ def _build_witness(
     family: StageFamily,
     max_depth: int,
     x: Fraction,
-    t: CertifiedValue,
-    ft: CertifiedValue,
+    t: ClosedInterval,
+    ft: ClosedInterval,
 ) -> ConfigWitness:
-    left = ClosedInterval(x - t.hi, x - t.lo)
-    mid = ClosedInterval(x, x)
-    right = ClosedInterval(x + ft.lo, x + ft.hi)
-    chains = (
-        _membership_chain(family, left, max_depth),
-        _membership_chain(family, mid, max_depth),
-        _membership_chain(family, right, max_depth),
+    chains = tuple(
+        _membership_chain(family, enc, max_depth) for enc in _point_enclosures(x, t, ft)
     )
     return ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
 
@@ -325,6 +329,50 @@ def verify_witness(
 
 
 # ---------------------------------------------------------------------------
+# Orient and frame
+# ---------------------------------------------------------------------------
+
+class _OrientedFrame(NamedTuple):
+    """The largest-gap frame of a deepest stage, with the stage sequence
+    reflected when needed so that the left bridge dominates.
+
+    Offsets are measured from the gap's right endpoint x0 (in oriented
+    coordinates): ``left`` holds the left bridge piece of every stage
+    reflected about x0 (it spans [gap_len, left_reach]), ``right`` the right
+    bridge piece shifted by -x0 (it spans [0, right_reach]).  ``x`` is x0 in
+    the caller's coordinates, the middle point of the configuration.
+    """
+
+    gap_len: Fraction
+    left_reach: Fraction
+    right_reach: Fraction
+    reflected: bool
+    x: Fraction
+    left: list[CantorStage]
+    right: list[CantorStage]
+
+
+def _orient_and_frame(stages: list[CantorStage]) -> _OrientedFrame:
+    frame = largest_gap_frame(stages[-1])
+    reflected = not frame.left_at_least_right
+    if reflected:
+        stages = [affine_image(s, Fraction(-1), Fraction(0)) for s in stages]
+        frame = largest_gap_frame(stages[-1])
+        if not frame.left_at_least_right:
+            raise InternalContradictionError("reflection did not flip bridge dominance")
+    x0 = frame.gap.hi
+    return _OrientedFrame(
+        gap_len=frame.gap.length,
+        left_reach=x0 - frame.left_bridge.lo,
+        right_reach=frame.right_bridge.length,
+        reflected=reflected,
+        x=-x0 if reflected else x0,
+        left=[affine_image(restrict(s, frame.left_bridge), Fraction(-1), x0) for s in stages],
+        right=[affine_image(restrict(s, frame.right_bridge), Fraction(1), -x0) for s in stages],
+    )
+
+
+# ---------------------------------------------------------------------------
 # 3-AP search
 # ---------------------------------------------------------------------------
 
@@ -354,40 +402,14 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     if tau < 1:
         raise HypothesisError(f"3-AP search requires thickness >= 1, got {tau}")
 
-    stages = family.stages(0, max_depth)
-    frame = largest_gap_frame(stages[-1])
-    reflected = not frame.left_at_least_right
-    if reflected:
-        oriented = [affine_image(s, Fraction(-1), Fraction(0)) for s in stages]
-        frame = largest_gap_frame(oriented[-1])
-        if not frame.left_at_least_right:
-            raise InternalContradictionError("reflection did not flip bridge dominance")
-    else:
-        oriented = stages
-
-    x0 = frame.gap.hi
-    gap_len = frame.gap.length
-    left_reach = x0 - frame.left_bridge.lo
-    right_reach = frame.right_bridge.length
-    if not (0 < gap_len <= right_reach <= left_reach):
+    fr = _orient_and_frame(family.stages(0, max_depth))
+    if not (0 < fr.gap_len <= fr.right_reach <= fr.left_reach):
         raise InternalContradictionError(
-            f"bridge inequalities failed: gap {gap_len}, right {right_reach}, "
-            f"left reach {left_reach}; with thickness >= 1 this cannot happen"
+            f"bridge inequalities failed: gap {fr.gap_len}, right {fr.right_reach}, "
+            f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
-
-    left_window = ClosedInterval(x0 - left_reach, x0 - gap_len)
-    right_window = ClosedInterval(x0, x0 + right_reach)
-    reflected_left = [
-        affine_image(restrict(s, left_window), Fraction(-1), x0) for s in oriented
-    ]
-    shifted_right = [
-        affine_image(restrict(s, right_window), Fraction(1), -x0) for s in oriented
-    ]
-    chain = persistent_intersect(reflected_left, shifted_right, check=False).chain
-
-    t_enc = CertifiedValue(chain[-1].lo, chain[-1].hi)
-    x = -x0 if reflected else x0
-    witness = _build_witness(family, max_depth, x, t_enc, t_enc)
+    t_enc = persistent_intersect(fr.left, fr.right, check=False).chain[-1]
+    witness = _build_witness(family, max_depth, fr.x, t_enc, t_enc)
     report = verify_witness(family, witness)
     if not report["ok"]:
         raise InternalContradictionError(
@@ -454,51 +476,31 @@ class _RetryDelta(Exception):
     """Internal: the a-posteriori image-thickness check failed; shrink delta."""
 
 
-class _InverseMap:
-    """Memoized certified inverse of f on a fixed bracket."""
+class _MonotoneMap:
+    """Memoized increasing map, given by a certified enclosure of each point's
+    image: the exact polynomial f (y -> [f(y), f(y)]) or its certified
+    inverse on a fixed bracket."""
 
-    def __init__(self, f: FunctionSpec, bracket: ClosedInterval, precision: Fraction):
-        self.f = f
-        self.bracket = bracket
-        self.precision = precision
-        self._cache: dict[Fraction, CertifiedValue] = {}
+    def __init__(self, enclose: Callable[[Fraction], ClosedInterval]):
+        self._enclose = enclose
+        self._cache: dict[Fraction, ClosedInterval] = {}
 
-    def point(self, y: Fraction) -> CertifiedValue:
+    def point(self, y: Fraction) -> ClosedInterval:
         if y not in self._cache:
-            self._cache[y] = monotone_inverse(self.f, y, self.bracket, self.precision)
+            self._cache[y] = self._enclose(y)
         return self._cache[y]
 
     def outward(self, piece: ClosedInterval) -> ClosedInterval:
+        """An interval containing the image of every point of ``piece``."""
         return ClosedInterval(self.point(piece.lo).lo, self.point(piece.hi).hi)
 
     def inward(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
+        """An interval inside the image of ``piece``, if one is certified."""
         lo = self.point(piece.lo).hi
         hi = self.point(piece.hi).lo
         if lo > hi:
             return None
         return ClosedInterval(lo, hi)
-
-    def enclosure_image(self, enc: CertifiedValue) -> CertifiedValue:
-        return CertifiedValue(self.point(enc.lo).lo, self.point(enc.hi).hi)
-
-
-class _ExactMap:
-    """Exact polynomial image of f, increasing on its bracket."""
-
-    def __init__(self, f: FunctionSpec):
-        self.poly = f.polynomial()
-
-    def point(self, y: Fraction) -> CertifiedValue:
-        return CertifiedValue.exact(self.poly(y))
-
-    def outward(self, piece: ClosedInterval) -> ClosedInterval:
-        return ClosedInterval(self.poly(piece.lo), self.poly(piece.hi))
-
-    def inward(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
-        return self.outward(piece)
-
-    def enclosure_image(self, enc: CertifiedValue) -> CertifiedValue:
-        return CertifiedValue(self.poly(enc.lo), self.poly(enc.hi))
 
 
 def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fraction) -> bool:
@@ -614,29 +616,24 @@ def _attempt_config(
                 f"extracted family lost thickness at level {piece.depth}"
             )
 
-    frame = largest_gap_frame(sub_stages[-1])
-    reflected = not frame.left_at_least_right
-    if reflected:
-        oriented = [affine_image(s, Fraction(-1), Fraction(0)) for s in sub_stages]
-        frame = largest_gap_frame(oriented[-1])
-    else:
-        oriented = sub_stages
-
-    x0 = frame.gap.hi
-    gap_len = frame.gap.length
-    left_reach = x0 - frame.left_bridge.lo
-    right_reach = frame.right_bridge.length
+    fr = _orient_and_frame(sub_stages)
+    gap_len, left_reach, right_reach = fr.gap_len, fr.left_reach, fr.right_reach
     if not (tau * gap_len <= right_reach and tau * gap_len <= left_reach - gap_len):
         raise InternalContradictionError(
             "bridge-ratio facts failed although thickness was verified"
         )
 
-    # The map sending the left offset (the intersection variable) to the
-    # right offset: the certified inverse when no reflection happened, the
-    # exact polynomial after reflecting (the roles of f and its inverse swap).
+    # The map sending the right offset into the left offsets' coordinate,
+    # where the intersection runs: the certified inverse when no reflection
+    # happened, the exact polynomial after reflecting (the roles of f and its
+    # inverse swap).
     bracket = ClosedInterval(Fraction(0), tau * right_reach)
-    inverse = _InverseMap(f, bracket, cfg.inverse_precision)
-    image_map = inverse if not reflected else _ExactMap(f)
+    inverse = _MonotoneMap(
+        lambda y: monotone_inverse(f, y, bracket, cfg.inverse_precision)
+    )
+    poly = f.polynomial()
+    exact = _MonotoneMap(lambda y: ClosedInterval(fy := poly(y), fy))
+    image_map = exact if fr.reflected else inverse
 
     # Mean-value bound: the image of the right reach must fall strictly
     # inside (gap length, left reach); guaranteed by the validated window.
@@ -652,18 +649,9 @@ def _attempt_config(
             retry_hint="tighten inverse_precision",
         )
 
-    left_window = ClosedInterval(x0 - left_reach, x0 - gap_len)
-    right_window = ClosedInterval(x0, x0 + right_reach)
-    reflected_left = [
-        affine_image(restrict(s, left_window), Fraction(-1), x0) for s in oriented
-    ]
-    right_rel = [
-        affine_image(restrict(s, right_window), Fraction(1), -x0) for s in oriented
-    ]
-
     image_stages: list[CantorStage] = []
     image_thickness_min: Optional[Fraction] = None
-    for stage in right_rel:
+    for stage in fr.right:
         pieces = []
         for iv in stage.intervals:
             img = image_map.outward(iv)
@@ -687,7 +675,7 @@ def _attempt_config(
     if image_thickness_min is None:
         raise _RetryDelta("image stages never developed a bounded gap")
 
-    chain = persistent_intersect(reflected_left, image_stages, check=False).chain
+    chain = persistent_intersect(fr.left, image_stages, check=False).chain
     deepest = chain[-1]
 
     # Tighten inward so the mapped offset provably lands inside its source
@@ -695,7 +683,7 @@ def _attempt_config(
     host_img = image_stages[-1].interval_containing(deepest)
     if host_img is None:
         raise InternalContradictionError("deepest common interval left the image stage")
-    source = right_rel[-1].intervals[image_stages[-1].intervals.index(host_img)]
+    source = fr.right[-1].intervals[image_stages[-1].intervals.index(host_img)]
     inner = image_map.inward(source)
     tight = None if inner is None else deepest.intersection(inner)
     if tight is None:
@@ -704,18 +692,16 @@ def _attempt_config(
             retry_hint="tighten inverse_precision or add depth",
         )
     u = _shrink_centered(tight, WITNESS_WIDTH)
-    u_enc = CertifiedValue(u.lo, u.hi)
 
-    if not reflected:
+    if not fr.reflected:
         # u is the t offset; the right offset is the exact polynomial image.
-        t_enc = u_enc
-        ft_enc = _ExactMap(f).enclosure_image(u_enc)
-        x = x0
+        t_enc = u
+        ft_enc = exact.outward(u)
     else:
         # u is the right offset s = f(t); t needs the certified inverse,
         # clamped into its (exactly known) source interval.
-        ft_enc = u_enc
-        raw = inverse.enclosure_image(u_enc)
+        ft_enc = u
+        raw = inverse.outward(u)
         lo = max(raw.lo, source.lo)
         hi = min(raw.hi, source.hi)
         if lo > hi:
@@ -723,10 +709,9 @@ def _attempt_config(
                 "inverse enclosure of the witness offset collapsed",
                 retry_hint="tighten inverse_precision",
             )
-        t_enc = CertifiedValue(lo, hi)
-        x = -x0
+        t_enc = ClosedInterval(lo, hi)
 
-    witness = _build_witness(family, sub.depth_offset + levels, x, t_enc, ft_enc)
+    witness = _build_witness(family, sub.depth_offset + levels, fr.x, t_enc, ft_enc)
     report = verify_witness(family, witness, f)
     if not report["ok"]:
         raise InternalContradictionError(
@@ -739,7 +724,7 @@ def _attempt_config(
         rho=rho,
         epsilon=eps,
         delta=delta,
-        reflected=reflected,
+        reflected=fr.reflected,
         extraction_offset=sub.depth_offset,
         image_thickness_min=image_thickness_min,
     )

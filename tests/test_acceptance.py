@@ -107,7 +107,7 @@ def test_criterion_4_three_ap_with_independent_ternary_oracle():
     with criterion(4, "3-AP on middle-thirds verified by ternary digits", 10.0):
         fam = middle_alpha_family(F(1, 3))
         witness = find_3ap(fam, max_depth=12)
-        assert witness.x == F(2, 3) and witness.t.is_exact and witness.t.lo == F(1, 3)
+        assert witness.x == F(2, 3) and witness.t.lo == witness.t.hi and witness.t.lo == F(1, 3)
         for point in (F(1, 3), F(2, 3), F(1)):
             assert in_middle_thirds(point, 12)
         # The oracle must also confirm the witness's own enclosures.
@@ -124,8 +124,8 @@ def test_criterion_5_nonlinear_configuration():
         witness = result.witness
         certified_levels = witness.depth - result.extraction_offset
         assert certified_levels >= 10 and witness.depth >= 10
-        assert witness.t.width <= F(1, 2 ** 40)
-        assert witness.ft.width <= F(1, 2 ** 40)
+        assert witness.t.length <= F(1, 2 ** 40)
+        assert witness.ft.length <= F(1, 2 ** 40)
         assert verify_witness(fam, witness, GENTLE)["ok"]
         # Independent replay: direct membership of every enclosure in fully
         # materialized stages (no chain bookkeeping involved).

@@ -1,6 +1,8 @@
 """Command-line behavior: round trips, reports, exit codes, rendering."""
 
+import concurrent.futures
 import json
+import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -197,6 +199,37 @@ def test_sweep_parallel_matches_sequential(tmp_path, capsys):
     assert json.loads(seq_file.read_text()) == json.loads(par_file.read_text())
 
 
+def test_sweep_jobs_clamped_to_probes_and_cpus(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """In-process stand-in that records the worker count it was given."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "3/4",
+            "--slope-max", "5/4", "--steps", "3", "--max-depth", "4"]
+    seq_file = tmp_path / "seq.json"
+    assert run(args + ["--out", str(seq_file)], capsys)[0] == 0
+    for cpus, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2]), (1, [3, 2])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out_file = tmp_path / "clamped.json"
+        assert run(args + ["--jobs", "100000", "--out", str(out_file)], capsys)[0] == 0
+        assert sizes == expected
+        assert json.loads(out_file.read_text()) == json.loads(seq_file.read_text())
+
+
 def test_render_single_interval_stage(tmp_path, capsys):
     stage_file = tmp_path / "one.json"
     stage_file.write_text('{"depth": 0, "intervals": [["0", "1"]]}')
@@ -214,6 +247,14 @@ def test_malformed_json_reports_byte_offset(tmp_path, capsys):
     code, _, err = run(["thickness", str(bad)], capsys)
     assert code == 3
     assert "JSON parse error at byte" in err
+
+
+def test_coerced_stage_json_is_a_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"depth": true, "intervals": [[0.1, "1/3"], ["2/3", 1]]}')
+    code, out, err = run(["thickness", str(bad)], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("error:")
 
 
 def test_unknown_verb_prints_usage(capsys):

@@ -266,6 +266,25 @@ def test_json_malformed_rejected():
         loads_stage('{"depth": "x", "intervals": []}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"depth": true, "intervals": [[0.1, "1/3"], ["2/3", 1]]}',
+    '{"depth": true, "intervals": [["0", "1/3"], ["2/3", "1"]]}',
+    '{"depth": 2.9, "intervals": [["0", "1/3"], ["2/3", "1"]]}',
+    '{"depth": "3", "intervals": [["0", "1/3"], ["2/3", "1"]]}',
+    '{"depth": 1, "intervals": [[0.1, "1/3"], ["2/3", "1"]]}',
+    '{"depth": 1, "intervals": [[false, true]]}',
+    '{"depth": 1, "intervals": [["0", "1/0"]]}',
+])
+def test_json_input_is_never_coerced(text):
+    with pytest.raises(DomainError):
+        loads_stage(text)
+
+
+def test_json_integer_coordinates_accepted():
+    stage = loads_stage('{"depth": 1, "intervals": [[0, "1/3"], ["2/3", 1]]}')
+    assert stage.intervals == make_stage([(0, F(1, 3)), (F(2, 3), 1)]).intervals
+
+
 def test_reports_recompute_bit_for_bit():
     stage = random_stage(3, depth=5)
     first = thickness(stage)

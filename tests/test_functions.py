@@ -3,6 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thickset import (
     CertifiedValue,
@@ -100,19 +103,19 @@ def test_derivative_window_requires_tau_above_one():
 
 def test_monotone_inverse_identity():
     enc = monotone_inverse(IDENTITY, F(1, 4), ClosedInterval(F(0), F(1)), F(1, 2 ** 40))
-    assert enc.contains(F(1, 4))
-    assert enc.width <= F(1, 2 ** 40)
+    assert enc.contains_point(F(1, 4))
+    assert enc.length <= F(1, 2 ** 40)
 
 
 def test_monotone_inverse_exact_hits():
     f = FunctionSpec((F(1), F(1)))  # t + t^2
     enc = monotone_inverse(f, F(2), ClosedInterval(F(0), F(2)), F(1, 2 ** 20))
-    assert enc.contains(F(1))
+    assert enc.contains_point(F(1))
     enc = monotone_inverse(GENTLE, F(21, 40), ClosedInterval(F(0), F(1)), F(1, 2 ** 20))
-    assert enc.contains(F(1, 2))
+    assert enc.contains_point(F(1, 2))
     # Endpoint hit collapses to a point.
     enc = monotone_inverse(IDENTITY, F(0), ClosedInterval(F(0), F(1)), F(1, 4))
-    assert enc.is_exact and enc.lo == 0
+    assert enc.lo == enc.hi and enc.lo == 0
 
 
 def test_monotone_inverse_decreasing_function():
@@ -142,7 +145,7 @@ def test_monotone_inverse_round_trip_containment():
         t_true = F(rng.randint(1, 99), 100)
         y = eval_function(f, t_true)
         enc = monotone_inverse(f, y, bracket, F(1, 2 ** 50))
-        assert enc.contains(t_true)
+        assert enc.contains_point(t_true)
         assert eval_function(f, enc.lo) <= y <= eval_function(f, enc.hi)
 
 
@@ -197,6 +200,63 @@ def test_isolate_roots_covers_all_roots():
     assert all(b.length <= F(1, 64) for b in boxes)
 
 
+def test_isolate_roots_reports_a_root_right_of_a_midpoint_root_once():
+    p = Polynomial((F(3, 8), F(-5, 4), F(1)))  # (t - 1/2)(t - 3/4)
+    boxes = isolate_roots(p, ClosedInterval(F(0), F(1)), F(1, 4))
+    assert boxes == [ClosedInterval(F(1, 4), F(1, 2)), ClosedInterval(F(1, 2), F(3, 4))]
+
+
+def _from_roots(roots):
+    coeffs = [F(1)]
+    for r in roots:  # multiply by (t - r)
+        coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+    return Polynomial(tuple(coeffs))
+
+
+def _sympy_roots_in(p, window):
+    t = sympy.Symbol("t")
+    roots = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(p.coeffs)], t).real_roots()
+    found = {F(int(r.p), int(r.q)) for r in roots}
+    return sorted(r for r in found if window.lo <= r <= window.hi)
+
+
+@st.composite
+def _root_problems(draw):
+    """A window, a box width 1/2**k of it, and a product of linear factors
+    (some repeated) whose roots include dyadic midpoints of the window."""
+    lo = F(draw(st.integers(-8, 4)), 4)
+    window = ClosedInterval(lo, lo + F(draw(st.integers(1, 8)), 4))
+    k = draw(st.integers(2, 6))
+    dyadic = st.builds(
+        lambda j, i: window.lo + window.length * F(i % (2 ** j + 1), 2 ** j),
+        st.integers(0, k), st.integers(0, 64),
+    )
+    anywhere = st.builds(F, st.integers(-40, 24), st.integers(1, 9)).map(lambda r: r / 2)
+    roots = draw(st.lists(st.one_of(dyadic, anywhere), min_size=1, max_size=4))
+    repeated = draw(st.lists(st.sampled_from(roots), max_size=2))
+    return _from_roots(roots + repeated), window, window.length / 2 ** k
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_problems())
+def test_isolate_roots_against_sympy(problem):
+    p, window, max_width = problem
+    roots = _sympy_roots_in(p, window)
+    assume(all(b - a > max_width for a, b in zip(roots, roots[1:])))
+    boxes = isolate_roots(p, window, max_width)
+    assert len(boxes) == len(roots)
+    assert all(any(b.contains_point(r) for b in boxes) for r in roots)
+    assert all(b.length <= max_width and window.contains_interval(b) for b in boxes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_problems())
+def test_count_roots_against_sympy(problem):
+    p, window, _ = problem
+    assert count_roots(p, window) == len(_sympy_roots_in(p, window))
+
+
 def test_range_bounds_exact_for_monotone():
     p = Polynomial((F(1), F(1, 5)))
     got = range_bounds(p, ClosedInterval(F(0), F(1)))
@@ -216,8 +276,9 @@ def test_function_spec_parse():
 
 
 def test_certified_value_basics():
+    assert CertifiedValue is ClosedInterval
     v = CertifiedValue(F(1, 3), F(1, 2))
-    assert v.width == F(1, 6)
-    assert v.contains(F(2, 5))
+    assert v.length == F(1, 6)
+    assert v.contains_point(F(2, 5))
     with pytest.raises(DomainError):
         CertifiedValue(F(1), F(0))

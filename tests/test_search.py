@@ -124,7 +124,7 @@ def test_find_3ap_middle_thirds_canonical_triple():
     fam = middle_alpha_family(F(1, 3))
     w = find_3ap(fam, max_depth=12)
     assert w.x == F(2, 3)
-    assert w.t.is_exact and w.t.lo == F(1, 3)
+    assert w.t.lo == w.t.hi and w.t.lo == F(1, 3)
     # Independent digit-recursion membership check of all three points.
     for point in (w.x - w.t.lo, w.x, w.x + w.t.lo):
         assert in_middle_thirds(point, 12)
@@ -186,7 +186,7 @@ def test_find_config_gentle_quadratic():
     res = find_config(fam, GENTLE, SearchConfig(max_depth=10))
     w = res.witness
     assert w.depth >= 10
-    assert w.t.width <= F(1, 2 ** 40) and w.ft.width <= F(1, 2 ** 40)
+    assert w.t.length <= F(1, 2 ** 40) and w.ft.length <= F(1, 2 ** 40)
     assert verify_witness(fam, w, GENTLE)["ok"]
     assert res.image_thickness_min > res.rho_tau
 
@@ -242,6 +242,58 @@ def test_find_config_validates_rho():
     fam = middle_alpha_family(F(1, 5))
     with pytest.raises(Exception, match="rho"):
         find_config(fam, GENTLE, SearchConfig(rho=F(1, 4), max_depth=6))
+
+
+# Witnesses are a function of (x, t, ft, depth): the chains follow from them
+# through the family, so pinning these four fields pins the whole JSON.
+PINNED_WITNESSES = {
+    "3ap-middle-thirds": ("2/3", ["1/3", "1/3"], ["1/3", "1/3"], 12),
+    "3ap-right-heavy-reflected": (
+        "3/8", ["2415/8192", "4835/16384"], ["2415/8192", "4835/16384"], 10,
+    ),
+    "config-middle-fifth": (
+        "1923/3125",
+        ["168820161926949644535161/21990232555520000000000000",
+         "168820161927027769535161/21990232555520000000000000"],
+        ["37152446455414702391365763739112090533151765295921/"
+         "4835703278458516698824704000000000000000000000000000",
+         "37152446455431908638700064831097564777058015295921/"
+         "4835703278458516698824704000000000000000000000000000"],
+        14,
+    ),
+    "config-right-heavy-reflected": (
+        "539/1024",
+        ["46361620640183926869/2361183241434822606848",
+         "46361620640192299191/2361183241434822606848"],
+        ["55321617070219/2814749767106560", "55321617070229/2814749767106560"],
+        11,
+    ),
+}
+
+
+def _pinned_search(name):
+    if name == "3ap-middle-thirds":
+        return find_3ap(middle_alpha_family(F(1, 3)), max_depth=12), None
+    if name == "3ap-right-heavy-reflected":
+        return find_3ap(right_heavy_family(), max_depth=10), None
+    if name == "config-middle-fifth":
+        res = find_config(middle_alpha_family(F(1, 5)), GENTLE, SearchConfig(max_depth=10))
+        return res.witness, (res.delta, res.extraction_offset, res.reflected)
+    f = FunctionSpec((F(1), F(1, 20)))
+    res = find_config(right_heavy_family(), f, SearchConfig(max_depth=8))
+    return res.witness, (res.delta, res.extraction_offset, res.reflected)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_search_witnesses_are_pinned(name):
+    witness, diagnostics = _pinned_search(name)
+    doc = witness.to_json()
+    assert (doc["x"], doc["t"], doc["ft"], doc["depth"]) == PINNED_WITNESSES[name]
+    expected = {
+        "config-middle-fifth": (F(1, 16), 4, False),
+        "config-right-heavy-reflected": (F(1, 8), 3, True),
+    }.get(name)
+    assert diagnostics == expected
 
 
 def test_verify_witness_detects_tampering():
