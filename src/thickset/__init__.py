@@ -59,6 +59,7 @@ from .errors import (
 from .functions import (
     DerivativeWindow,
     FunctionSpec,
+    MonotoneBracket,
     Polynomial,
     derivative,
     derivative_ratio_bound,

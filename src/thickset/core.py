@@ -18,12 +18,16 @@ Vocabulary (all standard):
   bounded-gap endpoints.
 
 Rationals are ``fractions.Fraction`` throughout, which already guarantees
-lowest terms and a positive denominator.
+lowest terms and a positive denominator.  Bridges and thickness are computed
+on an integer grid instead: one pass puts a stage's endpoints over their
+common denominator and finds every bridge from the next strictly longer gap
+on each side.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
@@ -333,49 +337,87 @@ def _gap_index_for_endpoint(stage: CantorStage, endpoint: Fraction, side: str) -
     )
 
 
-def _bridge_report(stage: CantorStage, gap_index: int, side: str) -> GapBridgeReport:
-    """Bridge scan from one side of the bounded gap at the given index."""
-    ivs = stage.intervals
+def _bridge_ends(
+    ivs: tuple[ClosedInterval, ...],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The next-longer-gap pass: ``(lo, hi, left_end, right_end)``.
+
+    ``lo`` and ``hi`` are the interval endpoints as ints over the lcm of
+    their denominators.  A bridge stops at the first strictly longer gap, so
+    the left bridge of bounded gap i starts at interval ``left_end[i]`` (just
+    right of the nearest strictly longer gap on the left, else the first
+    interval) and its right bridge ends at interval ``right_end[i]`` (just
+    left of the nearest strictly longer gap on the right, else the last).
+    Two monotone-stack passes find them in O(n) integer comparisons.
+    """
+    den = math.lcm(*{x.denominator for iv in ivs for x in (iv.lo, iv.hi)})
+    lo = [iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs]
+    hi = [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs]
+    gap = [b - a for a, b in zip(hi, lo[1:])]
+    left_end = [0] * len(gap)
+    right_end = [len(ivs) - 1] * len(gap)
+    stack: list[int] = []
+    for i, g in enumerate(gap):
+        while stack and gap[stack[-1]] <= g:
+            stack.pop()
+        if stack:
+            left_end[i] = stack[-1] + 1
+        stack.append(i)
+    stack.clear()
+    for i in reversed(range(len(gap))):
+        g = gap[i]
+        while stack and gap[stack[-1]] <= g:
+            stack.pop()
+        if stack:
+            right_end[i] = stack[-1]
+        stack.append(i)
+    return lo, hi, left_end, right_end
+
+
+def _bridge_report(
+    ivs: tuple[ClosedInterval, ...], gap_index: int, side: str, end: int
+) -> GapBridgeReport:
+    """The report for one side of a bounded gap whose bridge reaches
+    interval ``end`` (from ``_bridge_ends``)."""
     gap = Gap(ivs[gap_index].hi, ivs[gap_index + 1].lo, BOUNDED)
-    glen = gap.length
     if side == RIGHT:
         endpoint = gap.hi
-        j = gap_index + 1
-        while j + 1 < len(ivs) and ivs[j + 1].lo - ivs[j].hi <= glen:
-            j += 1
-        bridge = ClosedInterval(endpoint, ivs[j].hi)
+        bridge = ClosedInterval(endpoint, ivs[end].hi)
     else:
         endpoint = gap.lo
-        j = gap_index
-        while j - 1 >= 0 and ivs[j].lo - ivs[j - 1].hi <= glen:
-            j -= 1
-        bridge = ClosedInterval(ivs[j].lo, endpoint)
+        bridge = ClosedInterval(ivs[end].lo, endpoint)
     return GapBridgeReport(
         endpoint=endpoint,
         side=side,
         gap=gap,
         bridge=bridge,
-        local_thickness=bridge.length / glen,
+        local_thickness=bridge.length / gap.length,
     )
 
 
 def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridgeReport:
     """Bridge and local thickness at one bounded-gap endpoint.
 
-    Linear scan away from the gap, crossing every bounded gap of length at
-    most the reference gap's, stopping at the first strictly longer gap or at
-    the extreme point of the stage.
+    The bridge extends away from the gap across every bounded gap of length
+    at most the reference gap's, stopping at the first strictly longer gap or
+    at the extreme point of the stage.  It comes from the next-longer-gap
+    pass over the whole stage: O(n) integer operations.
     """
     endpoint = to_rational(endpoint)
-    return _bridge_report(stage, _gap_index_for_endpoint(stage, endpoint, side), side)
+    i = _gap_index_for_endpoint(stage, endpoint, side)
+    _, _, left_end, right_end = _bridge_ends(stage.intervals)
+    end = left_end[i] if side == LEFT else right_end[i]
+    return _bridge_report(stage.intervals, i, side, end)
 
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     """Reports for both sides of every bounded gap, left to right."""
+    ivs = stage.intervals
+    _, _, left_end, right_end = _bridge_ends(ivs)
     reports: list[GapBridgeReport] = []
-    for i in range(stage.count - 1):
-        reports.append(_bridge_report(stage, i, LEFT))
-        reports.append(_bridge_report(stage, i, RIGHT))
+    for i in range(len(ivs) - 1):
+        reports.append(_bridge_report(ivs, i, LEFT, left_end[i]))
+        reports.append(_bridge_report(ivs, i, RIGHT, right_end[i]))
     return reports
 
 
@@ -387,22 +429,35 @@ class ThicknessResult(NamedTuple):
 def thickness(stage: CantorStage) -> ThicknessResult:
     """Exact Newhouse thickness of the stage with the minimizing report.
 
-    Ties are broken deterministically: leftmost endpoint first, then the left
-    side before the right.
+    One next-longer-gap pass gives every bridge in O(n) integer operations;
+    local thicknesses are compared as integer cross-products, and a report
+    is built for the minimizer only.  Ties are broken deterministically:
+    smallest endpoint first, then the left side before the right.  The
+    comparison uses that key rather than gap order because a degenerate
+    interval makes the right endpoint of one gap the left endpoint of the
+    next.
     """
-    if stage.count < 2:
+    ivs = stage.intervals
+    if len(ivs) < 2:
         raise DomainError("thickness undefined for a single interval")
-    best: Optional[GapBridgeReport] = None
-    for report in all_bridge_reports(stage):
-        if best is None or report.local_thickness < best.local_thickness:
-            best = report
-        elif report.local_thickness == best.local_thickness:
-            key = (report.endpoint, 0 if report.side == LEFT else 1)
-            best_key = (best.endpoint, 0 if best.side == LEFT else 1)
-            if key < best_key:
-                best = report
-    assert best is not None
-    return ThicknessResult(best.local_thickness, best)
+    lo, hi, left_end, right_end = _bridge_ends(ivs)
+    # (bridge length, gap length, endpoint, 0 for left or 1 for right, gap index)
+    best = (hi[0] - lo[left_end[0]], lo[1] - hi[0], hi[0], 0, 0)
+    for i in range(len(ivs) - 1):
+        g = lo[i + 1] - hi[i]
+        for cand in (
+            (hi[i] - lo[left_end[i]], g, hi[i], 0, i),
+            (hi[right_end[i]] - lo[i + 1], g, lo[i + 1], 1, i),
+        ):
+            lhs, rhs = cand[0] * best[1], best[0] * g
+            if lhs < rhs or (lhs == rhs and cand[2:4] < best[2:4]):
+                best = cand
+    *_, right, i = best
+    if right:
+        report = _bridge_report(ivs, i, RIGHT, right_end[i])
+    else:
+        report = _bridge_report(ivs, i, LEFT, left_end[i])
+    return ThicknessResult(report.local_thickness, report)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ all of the above exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -352,6 +352,29 @@ def _integer_sign_evaluator(p: Polynomial, y: Fraction):
     return sign_at
 
 
+@dataclass(frozen=True)
+class MonotoneBracket(ClosedInterval):
+    """A bracket on which ``f`` is certified strictly monotone.
+
+    Construction runs the exact certificate once (the derivative polynomial
+    has no root in the closed bracket, hence the constant ``sign``) and
+    raises DomainError otherwise.  ``monotone_inverse`` trusts a bracket
+    certified for the same ``f`` instead of certifying it again.
+    """
+
+    f: FunctionSpec
+    sign: int = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        sign = sign_on_interval(self.f.polynomial().derivative(), self)
+        if sign is None:
+            raise DomainError(
+                f"f is not certifiably monotone on {self}: derivative vanishes there"
+            )
+        object.__setattr__(self, "sign", sign)
+
+
 def monotone_inverse(
     f: FunctionSpec,
     y: RationalLike,
@@ -361,21 +384,19 @@ def monotone_inverse(
     """Certified enclosure of f^{-1}(y) on a bracket where f is strictly
     monotone.
 
-    Monotonicity is verified exactly (the derivative polynomial has no root
-    in the closed bracket, hence constant sign).  The enclosure is produced
-    by bisection, narrowing to at most ``precision`` width; an exact rational
-    hit collapses it to a point.
+    Monotonicity is verified exactly (see ``MonotoneBracket``; a bracket
+    already certified for ``f`` is not certified again).  The enclosure is
+    produced by bisection, narrowing to at most ``precision`` width; an exact
+    rational hit collapses it to a point.
     """
     y = to_rational(y)
     precision = to_rational(precision)
     if precision <= 0:
         raise DomainError("precision must be positive")
+    if not (isinstance(bracket, MonotoneBracket) and bracket.f == f):
+        bracket = MonotoneBracket(bracket.lo, bracket.hi, f)
+    sign = bracket.sign
     p = f.polynomial()
-    sign = sign_on_interval(p.derivative(), bracket)
-    if sign is None:
-        raise DomainError(
-            f"f is not certifiably monotone on {bracket}: derivative vanishes there"
-        )
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = p(lo), p(hi)
     if sign < 0:

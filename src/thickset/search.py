@@ -63,6 +63,7 @@ from .errors import (
 )
 from .functions import (
     FunctionSpec,
+    MonotoneBracket,
     derivative_ratio_bound,
     derivative_window,
     eval_function,
@@ -73,6 +74,8 @@ from .gaplemma import persistent_intersect
 
 DEFAULT_PRECISION = Fraction(1, 2 ** 64)
 WITNESS_WIDTH = Fraction(1, 2 ** 48)
+# find_config gates tau on the thickness floor over depths 1..CONFIG_GATE_DEPTH.
+CONFIG_GATE_DEPTH = 4
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +379,11 @@ def _orient_and_frame(stages: list[CantorStage]) -> _OrientedFrame:
 # 3-AP search
 # ---------------------------------------------------------------------------
 
-def _family_thickness_floor(family: StageFamily, probe_depth: int) -> Fraction:
+def thickness_floor(family: StageFamily, max_depth: int) -> Fraction:
+    """Minimum exact thickness of the family's stages at depths 1..max_depth,
+    the value the search hypotheses are gated on."""
     values = []
-    for d in range(1, probe_depth + 1):
+    for d in range(1, max_depth + 1):
         stage = family.stage(d)
         if stage.count < 2:
             raise HypothesisError(
@@ -389,7 +394,8 @@ def _family_thickness_floor(family: StageFamily, probe_depth: int) -> Fraction:
 
 
 def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
-    """A certified 3-AP {x - t, x, x + t} in a family of thickness >= 1.
+    """A certified 3-AP {x - t, x, x + t} in a family of thickness >= 1 at
+    every certified depth 1..max_depth.
 
     The middle point is an endpoint of the largest gap, on the side opposite
     the longer bridge.  Every point of the returned t-enclosure gives a
@@ -398,7 +404,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
-    tau = _family_thickness_floor(family, min(4, max_depth))
+    tau = thickness_floor(family, max_depth)
     if tau < 1:
         raise HypothesisError(f"3-AP search requires thickness >= 1, got {tau}")
 
@@ -554,7 +560,7 @@ def find_config(
     certified level.
     """
     cfg = cfg or SearchConfig()
-    tau = _family_thickness_floor(family, 4)
+    tau = thickness_floor(family, CONFIG_GATE_DEPTH)
     if tau <= 1:
         raise HypothesisError(
             f"nonlinear search requires thickness > 1, got {tau}"
@@ -626,8 +632,9 @@ def _attempt_config(
     # The map sending the right offset into the left offsets' coordinate,
     # where the intersection runs: the certified inverse when no reflection
     # happened, the exact polynomial after reflecting (the roles of f and its
-    # inverse swap).
-    bracket = ClosedInterval(Fraction(0), tau * right_reach)
+    # inverse swap).  The bracket is certified monotone once, here; every
+    # inverse below only bisects.
+    bracket = MonotoneBracket(Fraction(0), tau * right_reach, f)
     inverse = _MonotoneMap(
         lambda y: monotone_inverse(f, y, bracket, cfg.inverse_precision)
     )

@@ -25,10 +25,11 @@ def brute_local_thickness(stage: CantorStage, gap_index: int, side: str) -> Frac
                 return False
         return True
 
+    # ">=" and "<=": next to a zero-length interval the bridge can be a point.
     if side == "right":
-        candidates = [iv.hi for iv in ivs if iv.hi > gap_hi and admissible(gap_hi, iv.hi)]
+        candidates = [iv.hi for iv in ivs if iv.hi >= gap_hi and admissible(gap_hi, iv.hi)]
         return (max(candidates) - gap_hi) / glen
-    candidates = [iv.lo for iv in ivs if iv.lo < gap_lo and admissible(iv.lo, gap_lo)]
+    candidates = [iv.lo for iv in ivs if iv.lo <= gap_lo and admissible(iv.lo, gap_lo)]
     return (gap_lo - min(candidates)) / glen
 
 

@@ -189,6 +189,23 @@ def test_sweep_reports_probe_outcomes(tmp_path, capsys):
     assert inside["3/2"] is False  # the window is open at its edge
 
 
+def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
+    # A random-thick family's thickness keeps falling with depth; find-config
+    # names its tau when it rejects a slope outside the window.
+    family = "random-thick:3/2:0"
+    code, _, err = run(["find-config", "--set-family", family, "--f", "10"], capsys)
+    assert code == 1
+    gated_tau = err.strip().rsplit("for thickness ", 1)[1]
+    out_file = tmp_path / "sweep.json"
+    code, _, _ = run(
+        ["sweep", "--set-family", family, "--slope-min", "1", "--slope-max", "2",
+         "--steps", "2", "--max-depth", "2", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out_file.read_text())["tau"] == gated_tau
+
+
 def test_sweep_parallel_matches_sequential(tmp_path, capsys):
     args = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "3/4",
             "--slope-max", "5/4", "--steps", "3", "--max-depth", "4"]

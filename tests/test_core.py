@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thickset import (
     CantorStage,
@@ -127,6 +129,75 @@ def test_thickness_tie_break_leftmost_left_side():
     assert result.value == 1
     assert result.argmin.endpoint == 1
     assert result.argmin.side == "left"
+
+
+@st.composite
+def _stages(draw):
+    """Small stages over a common denominator with few distinct gap lengths
+    (so bridges tie and chain), zero-length intervals, and optionally a
+    restriction window or an affine image with either sign of scale."""
+    den = draw(st.sampled_from([1, 2, 3, 7, 12, 1024]))
+    n = draw(st.integers(2, 12))
+    widths = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    spaces = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    x, ivs = 0, []
+    for k in range(n):
+        ivs.append(ClosedInterval(F(x, den), F(x + widths[k], den)))
+        x += widths[k] + (spaces[k] if k < n - 1 else 0)
+    stage = CantorStage(tuple(ivs), allow_degenerate=True)
+    shape = draw(st.sampled_from(["plain", "restrict", "affine"]))
+    if shape == "restrict":
+        a = draw(st.integers(0, x))
+        b = draw(st.integers(a, x))
+        window = ClosedInterval(F(a, den), F(b, den))
+        assume(any(iv.intersection(window) for iv in stage.intervals))
+        stage = restrict(stage, window)
+    elif shape == "affine":
+        num = draw(st.integers(-5, 5).filter(bool))
+        stage = affine_image(stage, F(num, draw(st.integers(1, 5))), F(draw(st.integers(-9, 9)), 7))
+    assume(stage.count >= 2)
+    return stage
+
+
+def _side_key(endpoint, side):
+    return (endpoint, 0 if side == "left" else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stages())
+def test_thickness_and_argmin_against_brute_oracle(stage):
+    value, argmin = thickness(stage)
+    assert value == brute_thickness(stage)
+    # The argmin is the minimizer with the smallest (endpoint, left before right).
+    ivs = stage.intervals
+    minimizers = [
+        _side_key(ivs[i].hi if side == "left" else ivs[i + 1].lo, side)
+        for i in range(stage.count - 1)
+        for side in ("left", "right")
+        if brute_local_thickness(stage, i, side) == value
+    ]
+    assert _side_key(argmin.endpoint, argmin.side) == min(minimizers)
+    assert argmin.local_thickness == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stages())
+def test_bridge_reports_against_brute_oracle(stage):
+    reports = all_bridge_reports(stage)
+    assert len(reports) == 2 * (stage.count - 1)
+    ivs = stage.intervals
+    for k, report in enumerate(reports):
+        i, side = divmod(k, 2)
+        side = ("left", "right")[side]
+        assert report.side == side
+        assert (report.gap.lo, report.gap.hi) == (ivs[i].hi, ivs[i + 1].lo)
+        assert report.local_thickness == brute_local_thickness(stage, i, side)
+        assert report.bridge.length == report.local_thickness * report.gap.length
+        if side == "left":
+            assert report.bridge.hi == report.endpoint == ivs[i].hi
+        else:
+            assert report.bridge.lo == report.endpoint == ivs[i + 1].lo
+        assert bridge_at(stage, report.endpoint, side) == report
 
 
 def test_restrict_examples():

@@ -12,6 +12,7 @@ from thickset import (
     ClosedInterval,
     DomainError,
     FunctionSpec,
+    MonotoneBracket,
     Polynomial,
     RangeError,
     counterexample_parts,
@@ -22,6 +23,7 @@ from thickset import (
     make_counterexample_params,
     monotone_inverse,
 )
+from thickset import functions
 from thickset.functions import count_roots, isolate_roots, range_bounds
 
 IDENTITY = FunctionSpec((F(1),))
@@ -128,6 +130,21 @@ def test_monotone_inverse_decreasing_function():
 def test_monotone_inverse_rejects_non_monotone_bracket():
     with pytest.raises(DomainError):
         monotone_inverse(SQUARE, F(1, 4), ClosedInterval(F(-1), F(1)), F(1, 2 ** 20))
+
+
+def test_monotone_bracket_is_certified_once(monkeypatch):
+    with pytest.raises(DomainError, match="not certifiably monotone"):
+        MonotoneBracket(F(-1), F(1), SQUARE)
+    plain = ClosedInterval(F(0), F(1))
+    certified = MonotoneBracket(F(0), F(1), GENTLE)
+    expected = monotone_inverse(GENTLE, F(1, 2), plain, F(1, 2 ** 40))
+    # A certified bracket skips the certificate; a plain one still runs it.
+    monkeypatch.setattr(functions, "sign_on_interval", lambda p, window: None)
+    assert monotone_inverse(GENTLE, F(1, 2), certified, F(1, 2 ** 40)) == expected
+    with pytest.raises(DomainError, match="not certifiably monotone"):
+        monotone_inverse(GENTLE, F(1, 2), plain, F(1, 2 ** 40))
+    with pytest.raises(DomainError, match="not certifiably monotone"):
+        monotone_inverse(IDENTITY, F(1, 2), certified, F(1, 2 ** 40))
 
 
 def test_monotone_inverse_rejects_out_of_range():

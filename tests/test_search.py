@@ -153,6 +153,21 @@ def test_find_3ap_requires_thickness_at_least_one():
         find_3ap(middle_alpha_family(F(1, 2)), max_depth=6)
 
 
+def test_find_3ap_gates_on_every_certified_depth():
+    def refine(iv, depth):
+        # Middle thirds (thickness 1) down to depth 4, then a middle half
+        # (local thickness 1/2) at depth 5.
+        cut = F(1, 3) if depth < 4 else F(1, 4)
+        width = iv.hi - iv.lo
+        return [ClosedInterval(iv.lo, iv.lo + cut * width),
+                ClosedInterval(iv.hi - cut * width, iv.hi)]
+
+    fam = RefinableFamily(CantorStage((ClosedInterval(F(0), F(1)),)), refine)
+    assert verify_witness(fam, find_3ap(fam, max_depth=4))["ok"]
+    with pytest.raises(HypothesisError, match="got 1/2"):
+        find_3ap(fam, max_depth=5)
+
+
 def test_find_3ap_reflected_orientation():
     fam = right_heavy_family()
     w = find_3ap(fam, max_depth=10)
