@@ -186,13 +186,16 @@ class AffineFamily(StageFamily):
 # ---------------------------------------------------------------------------
 
 def _middle_alpha_refiner(alpha: Fraction) -> IntervalRefiner:
-    beta = (1 - alpha) / 2
+    bn, bd = ((1 - alpha) / 2).as_integer_ratio()
 
     def refine(iv: ClosedInterval, _depth: int) -> list[ClosedInterval]:
-        width = iv.length
+        # Over den = ld*hd*bd: lo, hi and beta * width are integers.
+        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+        den = ld * hd * bd
+        cut = bn * (hn * ld - ln * hd)
         return [
-            ClosedInterval(iv.lo, iv.lo + beta * width),
-            ClosedInterval(iv.hi - beta * width, iv.hi),
+            ClosedInterval(iv.lo, Fraction(ln * hd * bd + cut, den)),
+            ClosedInterval(Fraction(hn * ld * bd - cut, den), iv.hi),
         ]
 
     return refine
@@ -257,34 +260,42 @@ class RandomThickSpec:
             raise DomainError("seed must be a 64-bit unsigned integer")
 
 
-def _seeded_unit_fraction(tag: str, bits: int = 16) -> Fraction:
-    """Deterministic pseudo-random fraction in [0, 1) from a string tag."""
+_SHARE_BITS = 16
+
+
+def _seeded_share(tag: str) -> int:
+    """Deterministic pseudo-random numerator in [0, 2**_SHARE_BITS) from a
+    string tag; the share is that numerator over 2**_SHARE_BITS."""
     digest = hashlib.sha256(tag.encode()).digest()
-    return Fraction(int.from_bytes(digest[:bits // 8], "big"), 2 ** bits)
+    return int.from_bytes(digest[:_SHARE_BITS // 8], "big")
 
 
 def _random_thick_refiner(spec: RandomThickSpec) -> IntervalRefiner:
-    tau = spec.target_tau
-    alpha = Fraction(1, 1) / (2 * tau + 1)
+    tn, td = spec.target_tau.as_integer_ratio()
+    crit = 2 * tn + td  # alpha = 1 / (2 tau + 1) = td / crit
+    unit = 2 ** _SHARE_BITS
 
     def refine(iv: ClosedInterval, depth: int) -> list[ClosedInterval]:
-        width = iv.length
         tag = f"{spec.seed}:{depth}:{iv.lo}:{iv.hi}"
         # Gap strictly below the critical proportion so the admissible
         # placement region is nondegenerate: gap = s*alpha*width, s in
-        # [1/2, 1), leaves slack width*(1 - s) for the position.
-        shrink = Fraction(1, 2) + _seeded_unit_fraction(tag + ":len") / 2
-        gap = shrink * alpha * width
-        slack = width - (2 * tau + 1) * gap
-        placement = (
-            spec.gap_placement
-            if spec.gap_placement is not None
-            else _seeded_unit_fraction(tag + ":pos")
-        )
-        left = tau * gap + placement * slack
+        # [1/2, 1), leaves slack width*(1 - s) for the position.  With
+        # s = sn/(2*unit) and placement pn/pd, the cuts are lo + width*c
+        # for c = tau*s*alpha + placement*(1 - s) (left flank) and that
+        # plus s*alpha (gap), both over cd = 2*unit*crit*pd.
+        sn = unit + _seeded_share(tag + ":len")
+        if spec.gap_placement is not None:
+            pn, pd = spec.gap_placement.as_integer_ratio()
+        else:
+            pn, pd = _seeded_share(tag + ":pos"), unit
+        cd = 2 * unit * crit * pd
+        left = tn * sn * pd + pn * (2 * unit - sn) * crit
+        right = left + sn * td * pd
+        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+        base, width, den = ln * hd * cd, hn * ld - ln * hd, ld * hd * cd
         return [
-            ClosedInterval(iv.lo, iv.lo + left),
-            ClosedInterval(iv.lo + left + gap, iv.hi),
+            ClosedInterval(iv.lo, Fraction(base + width * left, den)),
+            ClosedInterval(Fraction(base + width * right, den), iv.hi),
         ]
 
     return refine

@@ -17,17 +17,21 @@ Vocabulary (all standard):
   thickness of the stage is the minimum of the local thickness over all
   bounded-gap endpoints.
 
-Rationals are ``fractions.Fraction`` throughout, which already guarantees
-lowest terms and a positive denominator.  Bridges and thickness are computed
-on an integer grid instead: one pass puts a stage's endpoints over their
-common denominator and finds every bridge from the next strictly longer gap
-on each side.
+Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
+guarantees lowest terms and a positive denominator.  Each stage also caches
+one integer grid: its endpoints as Python ints over their common
+denominator, computed once when the stage is built.  Stage validation, the
+nesting check, bridges and thickness, ``restrict`` and ``affine_image`` read
+the grid (as do the gap-lemma merges), so they compare and subtract ints
+instead of walking ``Fraction`` chains; a new endpoint is normalised once,
+by ``Fraction(numerator, denominator)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
@@ -166,41 +170,73 @@ class CantorStage:
     interval).  Zero-length intervals are rejected unless the stage is
     explicitly built with ``allow_degenerate=True`` (exact intersections may
     legitimately produce isolated points).
+
+    Building a stage caches its integer grid ``(den, lo, hi)``: ``den`` is
+    the lcm of the endpoint denominators and ``lo[k] / den``, ``hi[k] / den``
+    are the endpoints of interval k.  The constructor's disjointness and
+    zero-length checks, ``check_nested_in``, the bridge pass behind
+    ``thickness``, ``all_bridge_reports`` and ``bridge_at``, ``restrict``,
+    ``affine_image`` and the gap-lemma merges all read it.  The grid is
+    private and never mutated; ``intervals`` stays the public view.
     """
 
     intervals: tuple[ClosedInterval, ...]
     depth: int = 0
     parent: Optional["CantorStage"] = field(default=None, compare=False, repr=False)
     allow_degenerate: bool = field(default=False, compare=False, repr=False)
+    _grid: tuple[int, list[int], list[int]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise DomainError("a stage must contain at least one interval")
-        for a, b in zip(ivs, ivs[1:]):
-            if not a.hi < b.lo:
+        lo_ratios = [iv.lo.as_integer_ratio() for iv in ivs]
+        hi_ratios = [iv.hi.as_integer_ratio() for iv in ivs]
+        den = math.lcm(*{d for _, d in lo_ratios}, *{d for _, d in hi_ratios})
+        lo = [n * (den // d) for n, d in lo_ratios]
+        hi = [n * (den // d) for n, d in hi_ratios]
+        object.__setattr__(self, "_grid", (den, lo, hi))
+        for k in range(len(ivs) - 1):
+            if not hi[k] < lo[k + 1]:
                 raise DomainError(
-                    f"stage intervals must be disjoint and increasing: {a} then {b}"
+                    f"stage intervals must be disjoint and increasing: {ivs[k]} then {ivs[k + 1]}"
                 )
         if not self.allow_degenerate:
-            for iv in ivs:
-                if iv.length == 0:
-                    raise DomainError(f"zero-length interval {iv} in a non-degenerate stage")
+            for k in range(len(ivs)):
+                if lo[k] == hi[k]:
+                    raise DomainError(f"zero-length interval {ivs[k]} in a non-degenerate stage")
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if self.parent is not None:
             self.check_nested_in(self.parent)
 
+    def _grid_over(self, den: int) -> tuple[list[int], list[int]]:
+        """The grid's ``lo`` and ``hi`` over ``den``, a multiple of its own
+        denominator."""
+        own, lo, hi = self._grid
+        if den == own:
+            return lo, hi
+        m = den // own
+        return [x * m for x in lo], [x * m for x in hi]
+
     def check_nested_in(self, parent: "CantorStage") -> None:
         """Raise DomainError unless every interval lies inside some interval
-        of ``parent`` (one merge walk over both interval lists)."""
-        j = 0
-        for iv in self.intervals:
-            while j < len(parent.intervals) and parent.intervals[j].hi < iv.lo:
+        of ``parent`` (one merge walk over both grids, brought to one
+        denominator)."""
+        den = math.lcm(self._grid[0], parent._grid[0])
+        lo, hi = self._grid_over(den)
+        plo, phi = parent._grid_over(den)
+        j, n = 0, len(plo)
+        for k in range(len(lo)):
+            while j < n and phi[j] < lo[k]:
                 j += 1
-            if j >= len(parent.intervals) or not parent.intervals[j].contains_interval(iv):
-                raise DomainError(f"interval {iv} is not contained in any parent interval")
+            if j >= n or plo[j] > lo[k] or hi[k] > phi[j]:
+                raise DomainError(
+                    f"interval {self.intervals[k]} is not contained in any parent interval"
+                )
 
     @property
     def count(self) -> int:
@@ -337,25 +373,19 @@ def _gap_index_for_endpoint(stage: CantorStage, endpoint: Fraction, side: str) -
     )
 
 
-def _bridge_ends(
-    ivs: tuple[ClosedInterval, ...],
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The next-longer-gap pass: ``(lo, hi, left_end, right_end)``.
+def _bridge_ends(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+    """The next-longer-gap pass over a stage grid: ``(left_end, right_end)``.
 
-    ``lo`` and ``hi`` are the interval endpoints as ints over the lcm of
-    their denominators.  A bridge stops at the first strictly longer gap, so
-    the left bridge of bounded gap i starts at interval ``left_end[i]`` (just
-    right of the nearest strictly longer gap on the left, else the first
-    interval) and its right bridge ends at interval ``right_end[i]`` (just
-    left of the nearest strictly longer gap on the right, else the last).
-    Two monotone-stack passes find them in O(n) integer comparisons.
+    A bridge stops at the first strictly longer gap, so the left bridge of
+    bounded gap i starts at interval ``left_end[i]`` (just right of the
+    nearest strictly longer gap on the left, else the first interval) and
+    its right bridge ends at interval ``right_end[i]`` (just left of the
+    nearest strictly longer gap on the right, else the last).  Two
+    monotone-stack passes find them in O(n) integer comparisons.
     """
-    den = math.lcm(*{x.denominator for iv in ivs for x in (iv.lo, iv.hi)})
-    lo = [iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs]
-    hi = [iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs]
     gap = [b - a for a, b in zip(hi, lo[1:])]
     left_end = [0] * len(gap)
-    right_end = [len(ivs) - 1] * len(gap)
+    right_end = [len(lo) - 1] * len(gap)
     stack: list[int] = []
     for i, g in enumerate(gap):
         while stack and gap[stack[-1]] <= g:
@@ -371,27 +401,32 @@ def _bridge_ends(
         if stack:
             right_end[i] = stack[-1]
         stack.append(i)
-    return lo, hi, left_end, right_end
+    return left_end, right_end
 
 
 def _bridge_report(
-    ivs: tuple[ClosedInterval, ...], gap_index: int, side: str, end: int
+    stage: CantorStage, gap_index: int, side: str, end: int
 ) -> GapBridgeReport:
     """The report for one side of a bounded gap whose bridge reaches
-    interval ``end`` (from ``_bridge_ends``)."""
+    interval ``end`` (from ``_bridge_ends``).  Endpoints are the stage's own
+    Fractions; the local thickness is one ratio of grid ints."""
+    ivs = stage.intervals
+    _, lo, hi = stage._grid
     gap = Gap(ivs[gap_index].hi, ivs[gap_index + 1].lo, BOUNDED)
     if side == RIGHT:
         endpoint = gap.hi
         bridge = ClosedInterval(endpoint, ivs[end].hi)
+        width = hi[end] - lo[gap_index + 1]
     else:
         endpoint = gap.lo
         bridge = ClosedInterval(ivs[end].lo, endpoint)
+        width = hi[gap_index] - lo[end]
     return GapBridgeReport(
         endpoint=endpoint,
         side=side,
         gap=gap,
         bridge=bridge,
-        local_thickness=bridge.length / gap.length,
+        local_thickness=Fraction(width, lo[gap_index + 1] - hi[gap_index]),
     )
 
 
@@ -401,23 +436,22 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
     The bridge extends away from the gap across every bounded gap of length
     at most the reference gap's, stopping at the first strictly longer gap or
     at the extreme point of the stage.  It comes from the next-longer-gap
-    pass over the whole stage: O(n) integer operations.
+    pass over the stage's grid: O(n) integer operations.
     """
     endpoint = to_rational(endpoint)
     i = _gap_index_for_endpoint(stage, endpoint, side)
-    _, _, left_end, right_end = _bridge_ends(stage.intervals)
+    left_end, right_end = _bridge_ends(*stage._grid[1:])
     end = left_end[i] if side == LEFT else right_end[i]
-    return _bridge_report(stage.intervals, i, side, end)
+    return _bridge_report(stage, i, side, end)
 
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     """Reports for both sides of every bounded gap, left to right."""
-    ivs = stage.intervals
-    _, _, left_end, right_end = _bridge_ends(ivs)
+    left_end, right_end = _bridge_ends(*stage._grid[1:])
     reports: list[GapBridgeReport] = []
-    for i in range(len(ivs) - 1):
-        reports.append(_bridge_report(ivs, i, LEFT, left_end[i]))
-        reports.append(_bridge_report(ivs, i, RIGHT, right_end[i]))
+    for i in range(stage.count - 1):
+        reports.append(_bridge_report(stage, i, LEFT, left_end[i]))
+        reports.append(_bridge_report(stage, i, RIGHT, right_end[i]))
     return reports
 
 
@@ -437,13 +471,13 @@ def thickness(stage: CantorStage) -> ThicknessResult:
     interval makes the right endpoint of one gap the left endpoint of the
     next.
     """
-    ivs = stage.intervals
-    if len(ivs) < 2:
+    if stage.count < 2:
         raise DomainError("thickness undefined for a single interval")
-    lo, hi, left_end, right_end = _bridge_ends(ivs)
+    _, lo, hi = stage._grid
+    left_end, right_end = _bridge_ends(lo, hi)
     # (bridge length, gap length, endpoint, 0 for left or 1 for right, gap index)
     best = (hi[0] - lo[left_end[0]], lo[1] - hi[0], hi[0], 0, 0)
-    for i in range(len(ivs) - 1):
+    for i in range(len(lo) - 1):
         g = lo[i + 1] - hi[i]
         for cand in (
             (hi[i] - lo[left_end[i]], g, hi[i], 0, i),
@@ -454,9 +488,9 @@ def thickness(stage: CantorStage) -> ThicknessResult:
                 best = cand
     *_, right, i = best
     if right:
-        report = _bridge_report(ivs, i, RIGHT, right_end[i])
+        report = _bridge_report(stage, i, RIGHT, right_end[i])
     else:
-        report = _bridge_report(ivs, i, LEFT, left_end[i])
+        report = _bridge_report(stage, i, LEFT, left_end[i])
     return ThicknessResult(report.local_thickness, report)
 
 
@@ -469,33 +503,52 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
 
     Intervals are clipped exactly; clips that vanish are dropped; a clip that
     degenerates to a point is kept (it is honest intersection content) and
-    marks the result as degenerate-permitting.
+    marks the result as degenerate-permitting.  Two binary searches on the
+    grid find the intervals that meet the window; only the first and last of
+    them can be clipped.
     """
-    clipped = [
-        c for iv in stage.intervals if (c := iv.intersection(window)) is not None
-    ]
-    if not clipped:
+    den, lo, hi = stage._grid
+    wn, wd = window.lo.as_integer_ratio()
+    vn, vd = window.hi.as_integer_ratio()
+    # hi[k] / den >= wn / wd and lo[k] / den <= vn / vd, cross-multiplied.
+    first = bisect_left(hi, wn * den, key=lambda x: x * wd)
+    last = bisect_right(lo, vn * den, key=lambda x: x * vd)
+    if first >= last:
         raise DomainError(f"window {window} does not intersect the stage")
-    degenerate = any(c.length == 0 for c in clipped)
+    clipped = list(stage.intervals[first:last])
+    clipped[0] = clipped[0].intersection(window)
+    clipped[-1] = clipped[-1].intersection(window)
+    degenerate = (
+        clipped[0].lo == clipped[0].hi
+        or clipped[-1].lo == clipped[-1].hi
+        or any(lo[k] == hi[k] for k in range(first + 1, last - 1))
+    )
     return CantorStage(tuple(clipped), depth=stage.depth, allow_degenerate=degenerate)
 
 
 def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:
-    """Exact image of the stage under x -> scale*x + shift (scale nonzero)."""
+    """Exact image of the stage under x -> scale*x + shift (scale nonzero).
+
+    With scale = p/q and shift = r/s, a grid endpoint X/den maps to
+    (X*p*s + r*q*den) / (den*q*s): one integer numerator over one
+    denominator, normalised once.
+    """
     scale = to_rational(scale)
     shift = to_rational(shift)
     if scale == 0:
         raise DomainError("affine image requires a nonzero scale")
-    ivs = [
-        ClosedInterval(iv.lo * scale + shift, iv.hi * scale + shift)
-        if scale > 0
-        else ClosedInterval(iv.hi * scale + shift, iv.lo * scale + shift)
-        for iv in stage.intervals
-    ]
-    if scale < 0:
-        ivs.reverse()
-    degenerate = any(iv.length == 0 for iv in stage.intervals)
-    return CantorStage(tuple(ivs), depth=stage.depth, allow_degenerate=degenerate)
+    den, lo, hi = stage._grid
+    p, q = scale.as_integer_ratio()
+    r, s = shift.as_integer_ratio()
+    a, b, d = p * s, r * q * den, den * q * s
+    if p < 0:
+        lo, hi = hi[::-1], lo[::-1]
+    ivs = tuple(
+        ClosedInterval(Fraction(x * a + b, d), Fraction(y * a + b, d))
+        for x, y in zip(lo, hi)
+    )
+    degenerate = any(x == y for x, y in zip(lo, hi))
+    return CantorStage(ivs, depth=stage.depth, allow_degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +574,7 @@ def stage_from_json(data: dict) -> CantorStage:
         ivs = tuple(ClosedInterval(to_rational(lo), to_rational(hi)) for lo, hi in pairs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed stage object: {exc}") from exc
-    degenerate = any(iv.length == 0 for iv in ivs)
+    degenerate = any(iv.lo == iv.hi for iv in ivs)
     return CantorStage(ivs, depth=depth, allow_degenerate=degenerate)
 
 

@@ -11,15 +11,19 @@ sets' stages).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
+    BOUNDED,
+    LEFT_UNBOUNDED,
+    RIGHT_UNBOUNDED,
     CantorStage,
     ClosedInterval,
     Gap,
-    gaps,
     rational_str,
     thickness,
 )
@@ -68,13 +72,19 @@ def containing_gap(host: CantorStage, other: CantorStage) -> Optional[Gap]:
     """The single gap of ``host`` containing all of ``other``, if any.
 
     Unbounded gaps count: a set entirely left of the host lies in the host's
-    left-unbounded gap.
+    left-unbounded gap.  Only the gap just left of the first host interval
+    reaching ``other.min`` can contain ``other``; a binary search finds it.
     """
     lo, hi = other.min, other.max
-    for gap in gaps(host):
-        if gap.strictly_contains(lo, hi):
-            return gap
-    return None
+    ivs = host.intervals
+    k = bisect_left(ivs, lo, key=lambda iv: iv.hi)
+    if k == 0:
+        gap = Gap(None, host.min, LEFT_UNBOUNDED)
+    elif k == len(ivs):
+        gap = Gap(host.max, None, RIGHT_UNBOUNDED)
+    else:
+        gap = Gap(ivs[k - 1].hi, ivs[k].lo, BOUNDED)
+    return gap if gap.strictly_contains(lo, hi) else None
 
 
 def check_hypotheses(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
@@ -132,12 +142,14 @@ class IntersectionWitness:
         }
 
 
-def _widest(intervals: Sequence[ClosedInterval]) -> ClosedInterval:
-    best = intervals[0]
-    for iv in intervals[1:]:
-        if iv.length > best.length:
-            best = iv
-    return best
+def _widest(stage: CantorStage) -> ClosedInterval:
+    """The first of the stage's widest intervals, compared on its grid."""
+    _, lo, hi = stage._grid
+    best = 0
+    for k in range(1, len(lo)):
+        if hi[k] - lo[k] > hi[best] - lo[best]:
+            best = k
+    return stage.intervals[best]
 
 
 def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]:
@@ -146,20 +158,26 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
     Touching closed intervals meet in a point, which is kept as a degenerate
     interval: stages overapproximate their limit sets, so a nonempty stage
     intersection is necessary evidence, not sufficient (see
-    ``persistent_intersect`` for the refinement-chain version).
+    ``persistent_intersect`` for the refinement-chain version).  The merge
+    compares the two grids over one denominator, and every common interval
+    reuses the inputs' endpoint Fractions.
     """
+    den = math.lcm(k1._grid[0], k2._grid[0])
+    alo, ahi = k1._grid_over(den)
+    blo, bhi = k2._grid_over(den)
+    a, b = k1.intervals, k2.intervals
     out: list[ClosedInterval] = []
     i = j = 0
-    a, b = k1.intervals, k2.intervals
     while i < len(a) and j < len(b):
-        lo = max(a[i].lo, b[j].lo)
-        hi = min(a[i].hi, b[j].hi)
-        if lo <= hi:
-            out.append(ClosedInterval(lo, hi))
-        if a[i].hi < b[j].hi:
+        start, lo = (alo[i], a[i].lo) if alo[i] >= blo[j] else (blo[j], b[j].lo)
+        if ahi[i] < bhi[j]:
+            end, hi = ahi[i], a[i].hi
             i += 1
         else:
+            end, hi = bhi[j], b[j].hi
             j += 1
+        if start <= end:
+            out.append(ClosedInterval(lo, hi))
     if not out:
         return None
     common = CantorStage(
@@ -167,7 +185,7 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
         depth=max(k1.depth, k2.depth),
         allow_degenerate=True,
     )
-    return IntersectionWitness(common=common, sample_point=_widest(out).midpoint)
+    return IntersectionWitness(common=common, sample_point=_widest(common).midpoint)
 
 
 class GapLemmaViolation(InternalContradictionError):
@@ -240,7 +258,7 @@ def persistent_intersect(
     # walk back up: each common set contains the next one, so the containing
     # interval at every shallower depth exists and is unique.
     chain: list[ClosedInterval] = [None] * len(witnesses)  # type: ignore[list-item]
-    chain[-1] = _widest(witnesses[-1].common.intervals)
+    chain[-1] = _widest(witnesses[-1].common)
     for d in range(len(witnesses) - 2, -1, -1):
         host = witnesses[d].common.interval_containing(chain[d + 1])
         if host is None:

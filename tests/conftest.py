@@ -5,9 +5,10 @@ checks by exhaustive candidate scan, digit recursions) rather than reusing
 the package's incremental algorithms, so they can referee them.
 """
 
+import hashlib
 from fractions import Fraction
 
-from thickset import CantorStage, RandomThickSpec, random_thick
+from thickset import CantorStage, RandomThickSpec, gaps, random_thick
 
 
 def brute_local_thickness(stage: CantorStage, gap_index: int, side: str) -> Fraction:
@@ -63,3 +64,74 @@ def in_middle_thirds(x: Fraction, depth: int) -> bool:
 
 def random_stage(seed: int, tau: Fraction = Fraction(3, 2), depth: int = 4) -> CantorStage:
     return random_thick(RandomThickSpec(target_tau=tau, depth=depth, seed=seed))
+
+
+def stage_problem(intervals, allow_degenerate: bool):
+    """The DomainError text a stage of these intervals must raise, or None:
+    the constructor's checks re-derived with Fraction comparisons."""
+    if not intervals:
+        return "a stage must contain at least one interval"
+    for a, b in zip(intervals, intervals[1:]):
+        if not a.hi < b.lo:
+            return f"stage intervals must be disjoint and increasing: {a} then {b}"
+    if not allow_degenerate:
+        for iv in intervals:
+            if iv.hi - iv.lo == 0:
+                return f"zero-length interval {iv} in a non-degenerate stage"
+    return None
+
+
+def nesting_problem(child: CantorStage, parent: CantorStage):
+    """The DomainError text of ``child.check_nested_in(parent)``, or None:
+    every child interval is looked up in every parent interval."""
+    for iv in child.intervals:
+        if not any(p.lo <= iv.lo and iv.hi <= p.hi for p in parent.intervals):
+            return f"interval {iv} is not contained in any parent interval"
+    return None
+
+
+def in_stage(stage: CantorStage, x: Fraction) -> bool:
+    """Linear-scan membership."""
+    return any(iv.lo <= x <= iv.hi for iv in stage.intervals)
+
+
+def probe_points(*stages: CantorStage) -> list[Fraction]:
+    """Every endpoint of the stages, the midpoint between each two
+    consecutive ones, and a point beyond each end: membership at these
+    points determines a union of closed intervals with those endpoints."""
+    ends = sorted({x for s in stages for iv in s.intervals for x in (iv.lo, iv.hi)})
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return ends + mids + [ends[0] - 1, ends[-1] + 1]
+
+
+def brute_containing_gap(host: CantorStage, other: CantorStage):
+    """Linear scan over every gap of ``host`` for one containing ``other``."""
+    for gap in gaps(host):
+        if gap.strictly_contains(other.min, other.max):
+            return gap
+    return None
+
+
+def _seeded_share(tag: str) -> Fraction:
+    digest = hashlib.sha256(tag.encode()).digest()
+    return Fraction(int.from_bytes(digest[:2], "big"), 2 ** 16)
+
+
+def naive_random_thick_children(lo, hi, depth, spec: RandomThickSpec):
+    """The random-thick cut of [lo, hi] in step-by-step Fraction arithmetic."""
+    tau = spec.target_tau
+    tag = f"{spec.seed}:{depth}:{lo}:{hi}"
+    width = hi - lo
+    gap = (Fraction(1, 2) + _seeded_share(tag + ":len") / 2) * (1 / (2 * tau + 1)) * width
+    slack = width - (2 * tau + 1) * gap
+    placement = spec.gap_placement
+    if placement is None:
+        placement = _seeded_share(tag + ":pos")
+    left = tau * gap + placement * slack
+    return [(lo, lo + left), (lo + left + gap, hi)]
+
+
+def naive_middle_alpha_children(lo, hi, alpha):
+    """The middle-alpha cut of [lo, hi] in step-by-step Fraction arithmetic."""
+    keep = (1 - alpha) / 2 * (hi - lo)
+    return [(lo, lo + keep), (hi - keep, hi)]

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickset import (
     CalibrationError,
@@ -19,10 +21,15 @@ from thickset import (
     middle_alpha,
     middle_alpha_family,
     random_thick,
+    random_thick_family,
     restrict,
     thickness,
 )
-from conftest import brute_thickness
+from conftest import (
+    brute_thickness,
+    naive_middle_alpha_children,
+    naive_random_thick_children,
+)
 
 EPS = F(1, 1000)
 
@@ -229,6 +236,40 @@ def test_random_thick_fixed_gap_placement():
     a, b = random_thick(spec), random_thick(again)
     assert a != b
     assert thickness(a).value >= 2 and thickness(b).value >= 2
+
+
+_bases = st.tuples(
+    st.builds(F, st.integers(-50, 50), st.integers(1, 60)),
+    st.builds(F, st.integers(1, 50), st.integers(1, 60)),
+).map(lambda p: ClosedInterval(p[0], p[0] + p[1]))
+
+
+def _refines_like(family, naive, depth):
+    """Each stage of ``family`` down to ``depth`` is ``naive`` applied to
+    every interval of the stage above it."""
+    for d in range(depth):
+        expected = [c for iv in family.stage(d).intervals for c in naive(iv.lo, iv.hi, d)]
+        assert [(iv.lo, iv.hi) for iv in family.stage(d + 1).intervals] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(F, st.integers(1, 12), st.integers(1, 5)),
+    st.integers(0, 2 ** 64 - 1),
+    st.one_of(st.none(), st.builds(F, st.integers(0, 7), st.just(7))),
+    _bases,
+)
+def test_random_thick_refiner_matches_naive_arithmetic(tau, seed, placement, base):
+    spec = RandomThickSpec(target_tau=tau, depth=0, seed=seed, gap_placement=placement)
+    family = random_thick_family(spec, base)
+    _refines_like(family, lambda lo, hi, d: naive_random_thick_children(lo, hi, d, spec), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(F, st.integers(1, 29), st.just(30)), _bases)
+def test_middle_alpha_refiner_matches_naive_arithmetic(alpha, base):
+    family = middle_alpha_family(alpha, base)
+    _refines_like(family, lambda lo, hi, d: naive_middle_alpha_children(lo, hi, alpha), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from thickset import (
     restrict,
     thickness,
 )
-from conftest import brute_local_thickness, brute_thickness, random_stage
+from conftest import (
+    brute_local_thickness,
+    brute_thickness,
+    nesting_problem,
+    random_stage,
+    stage_problem,
+)
 
 
 def test_gaps_single_interval():
@@ -363,3 +369,100 @@ def test_reports_recompute_bit_for_bit():
     assert first.value == second.value
     assert first.argmin == second.argmin
     assert all_bridge_reports(stage) == all_bridge_reports(stage)
+
+
+_coords = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 1024]))
+
+
+@st.composite
+def _interval_lists(draw):
+    """Intervals with small mixed denominators, so neighbours often touch,
+    overlap, repeat or have zero length."""
+    pairs = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=8))
+    ivs = [ClosedInterval(min(a, b), max(a, b)) for a, b in pairs]
+    if draw(st.booleans()):
+        ivs.sort(key=lambda iv: (iv.lo, iv.hi))
+    return ivs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_interval_lists(), st.booleans())
+def test_stage_checks_match_fraction_oracle(ivs, allow_degenerate):
+    expected = stage_problem(ivs, allow_degenerate)
+    if expected is None:
+        stage = CantorStage(tuple(ivs), allow_degenerate=allow_degenerate)
+        assert stage.intervals == tuple(ivs)
+    else:
+        with pytest.raises(DomainError) as info:
+            CantorStage(tuple(ivs), allow_degenerate=allow_degenerate)
+        assert str(info.value) == expected
+
+
+@st.composite
+def _nested_pairs(draw):
+    """A parent stage, and a child whose intervals sit inside the parent's
+    over a finer denominator, with one child endpoint possibly pushed one
+    grid unit (1/den of the child) past its parent interval."""
+    den = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    spaces = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    x, ivs = draw(st.integers(-5, 5)), []
+    for w, gap in zip(widths, spaces):
+        ivs.append(ClosedInterval(F(x, den), F(x + w, den)))
+        x += w + gap
+    parent = CantorStage(tuple(ivs))
+    fine = den * draw(st.sampled_from([1, 2, 3, 7]))
+    child = []
+    for iv in ivs:
+        lo, hi = int(iv.lo * fine), int(iv.hi * fine)
+        a = draw(st.integers(lo, hi - 1))
+        b = draw(st.integers(a + 1, hi))
+        child.append([a, b])
+    k = draw(st.integers(0, len(child) - 1))
+    push = draw(st.sampled_from(["none", "left", "right"]))
+    out_lo, out_hi = int(ivs[k].lo * fine) - 1, int(ivs[k].hi * fine) + 1
+    if push == "left" and (k == 0 or child[k - 1][1] < out_lo):
+        child[k][0] = out_lo
+    elif push == "right" and (k == len(child) - 1 or out_hi < child[k + 1][0]):
+        child[k][1] = out_hi
+    return parent, [ClosedInterval(F(a, fine), F(b, fine)) for a, b in child]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_pairs())
+def test_nesting_check_matches_fraction_oracle(pair):
+    parent, ivs = pair
+    child = CantorStage(tuple(ivs), depth=1)
+    expected = nesting_problem(child, parent)
+    if expected is None:
+        child.check_nested_in(parent)
+        CantorStage(tuple(ivs), depth=1, parent=parent)
+    else:
+        with pytest.raises(DomainError) as info:
+            child.check_nested_in(parent)
+        assert str(info.value) == expected
+        with pytest.raises(DomainError) as info:
+            CantorStage(tuple(ivs), depth=1, parent=parent)
+        assert str(info.value) == expected
+
+
+_scales = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+_shifts = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.sampled_from([F(1), F(3, 2), F(2)]), st.booleans(),
+       _scales, _shifts)
+def test_affine_image_matches_naive_arithmetic(seed, tau, degenerate, scale, shift):
+    stage = random_stage(seed, tau=tau, depth=3)
+    if degenerate:
+        iv = stage.intervals[1]
+        stage = restrict(stage, ClosedInterval(stage.min, iv.lo))
+    image = affine_image(stage, scale, shift)
+    pairs = [(iv.lo * scale + shift, iv.hi * scale + shift) for iv in stage.intervals]
+    if scale < 0:
+        pairs = [(b, a) for a, b in reversed(pairs)]
+    assert [(iv.lo, iv.hi) for iv in image.intervals] == pairs
+    assert image.allow_degenerate == any(a == b for a, b in pairs)
+    assert image.depth == stage.depth

@@ -3,9 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickset import (
     AffineFamily,
+    CantorStage,
+    ClosedInterval,
     HypothesisError,
     RandomThickSpec,
     affine_image,
@@ -17,7 +21,8 @@ from thickset import (
     persistent_intersect,
     random_thick_family,
 )
-from thickset.gaplemma import GapLemmaViolation
+from thickset.gaplemma import GapLemmaViolation, containing_gap
+from conftest import brute_containing_gap, in_stage, probe_points
 
 
 def test_hypotheses_apply_for_equal_thick_sets():
@@ -178,3 +183,52 @@ def test_randomized_gap_lemma_evidence_small():
         )
         w = persistent_intersect(f1.stages(1, 6), f2.stages(1, 6))
         assert len(w.chain) == 6
+
+
+@st.composite
+def _lattice_stages(draw, den):
+    """A stage with endpoints k/den, possibly with zero-length intervals."""
+    n = draw(st.integers(1, 7))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    spaces = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    x, ivs = draw(st.integers(-6, 6)), []
+    for w, gap in zip(widths, spaces):
+        ivs.append(ClosedInterval(F(x, den), F(x + w, den)))
+        x += w + gap
+    return CantorStage(tuple(ivs), allow_degenerate=True)
+
+
+_dens = st.sampled_from([1, 2, 3, 4, 6])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dens.flatmap(_lattice_stages), _dens.flatmap(_lattice_stages))
+def test_intersect_against_pointwise_oracle(k1, k2):
+    # Mixed denominators put shared endpoints and touching intervals on
+    # both sides, so the merge must keep degenerate points.
+    w = intersect(k1, k2)
+    for x in probe_points(k1, k2):
+        expected = in_stage(k1, x) and in_stage(k2, x)
+        assert (w is not None and in_stage(w.common, x)) == expected
+    if w is not None:
+        assert w.common.allow_degenerate
+        widest = max(iv.hi - iv.lo for iv in w.common.intervals)
+        first = next(iv for iv in w.common.intervals if iv.hi - iv.lo == widest)
+        assert w.sample_point == (first.lo + first.hi) / 2
+
+
+@st.composite
+def _hulls(draw, host):
+    """A one-interval stage left of, right of, inside or touching the host:
+    endpoints are host endpoints, points between them, or points beyond."""
+    points = probe_points(host)
+    points += [x + F(1, 97) for x in points] + [x - F(1, 97) for x in points]
+    a, b = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    return CantorStage((ClosedInterval(a, b),), allow_degenerate=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dens.flatmap(_lattice_stages).flatmap(lambda h: st.tuples(st.just(h), _hulls(h))))
+def test_containing_gap_against_linear_scan(pair):
+    host, other = pair
+    assert containing_gap(host, other) == brute_containing_gap(host, other)
