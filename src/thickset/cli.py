@@ -9,7 +9,7 @@ cannot fail under validated preconditions; report these as bugs), 3 usage,
 parse, and domain errors.
 
 Rationals cross the CLI boundary as lowest-terms 'p/q' strings, never
-floats.  THICKSET_PRECISION overrides the default inverse precision.
+floats.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .functions import FunctionSpec, derivative_window
 from .gaplemma import check_hypotheses, intersect
 from .search import (
     CONFIG_GATE_DEPTH,
-    DEFAULT_PRECISION,
     SearchConfig,
     find_3ap,
     find_config,
@@ -111,16 +110,6 @@ def _parse_family(spec: str) -> StageFamily:
     )
 
 
-def _default_precision() -> Fraction:
-    env = os.environ.get("THICKSET_PRECISION")
-    if not env:
-        return DEFAULT_PRECISION
-    value = _fraction(env)
-    if value <= 0:
-        raise _UsageError("THICKSET_PRECISION must be positive")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thickset", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
@@ -160,7 +149,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--rho", type=_fraction, default=None)
     p.add_argument("--delta", type=_fraction, default=None)
-    p.add_argument("--precision", type=_fraction, default=None)
     p.add_argument("--out")
 
     p = sub.add_parser("counterexample", help="build the five-interval avoidance set")
@@ -265,12 +253,7 @@ def _cmd_find_3ap(args) -> int:
 def _cmd_find_config(args) -> int:
     family = _parse_family(args.set_family)
     f = FunctionSpec.parse(args.f)
-    cfg = SearchConfig(
-        rho=args.rho,
-        delta=args.delta,
-        max_depth=args.max_depth,
-        inverse_precision=args.precision or _default_precision(),
-    )
+    cfg = SearchConfig(rho=args.rho, delta=args.delta, max_depth=args.max_depth)
     result = find_config(family, f, cfg)
     print(
         f"thickness {rational_str(result.tau)}, rho*tau {rational_str(result.rho_tau)}, "
@@ -326,7 +309,7 @@ def _cmd_render(args) -> int:
 
 
 def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
-                 max_depth: int, strict: bool, precision_str: str) -> dict:
+                 max_depth: int, strict: bool) -> dict:
     """One slope probe; argument types kept picklable so the sweep can fan
     out across worker processes (the search pipeline is pure)."""
     slope = Fraction(slope_str)
@@ -338,8 +321,7 @@ def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
         result = find_config(
             family,
             f,
-            SearchConfig(max_depth=max_depth,
-                         inverse_precision=Fraction(precision_str)),
+            SearchConfig(max_depth=max_depth),
             enforce_window=strict,
         )
         entry["status"] = "ok"
@@ -368,10 +350,8 @@ def _cmd_sweep(args) -> int:
     step = (args.slope_max - args.slope_min) / (args.steps - 1)
     slopes = [args.slope_min + i * step for i in range(args.steps)]
     quad = None if args.quadratic is None else rational_str(args.quadratic)
-    precision = rational_str(_default_precision())
     tasks = [
-        (args.set_family, rational_str(s), quad, args.max_depth,
-         args.strict_window, precision)
+        (args.set_family, rational_str(s), quad, args.max_depth, args.strict_window)
         for s in slopes
     ]
     # The pool starts all its workers at once: never more than there are

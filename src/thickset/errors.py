@@ -46,8 +46,9 @@ class InternalContradictionError(ThicksetError):
 
 
 class PrecisionError(ThicksetError):
-    """Certified enclosures were too wide to decide a question at the
-    requested depth. Retry with tighter precision or more depth."""
+    """A search ran out of room to certify its answer: ``find_config``
+    halved delta to its limit without meeting the derivative and
+    image-thickness conditions. ``retry_hint`` says what to change."""
 
     def __init__(self, message: str, *, retry_hint: str = ""):
         super().__init__(message if not retry_hint else f"{message} ({retry_hint})")

@@ -9,10 +9,12 @@ Three finders, all exact or certified:
 * ``find_config``: nonlinear configurations {x - t, x, x + f(t)} for
   thickness above 1 and f'(0) strictly inside the admissible slope window.
   The pipeline localizes to a small bridge, orients so the left bridge
-  dominates, maps the right piece through a certified monotone inverse, and
-  intersects persistently.  Soundness comes from outward enclosures plus an
-  inward tightening step, and the smooth-image thickness hypothesis is
-  checked a posteriori and exactly on the certified image stages.
+  dominates, maps the bridge piece that carries t forward through the exact
+  polynomial (f is increasing on the validated box, so f([a, b]) is
+  [f(a), f(b)]) and intersects the image persistently and exactly with the
+  piece that carries f(t).  The smooth-image thickness hypothesis is checked
+  a posteriori and exactly on the image stages.  Only the witness offset t
+  needs a certified inverse: two bisections, one per end of ``ft``.
 * ``verify_counterexample``: exact endpoint-inequality verification that the
   five-interval construction avoids {x - t, x, x + t^2} at its largest-gap
   endpoints.
@@ -20,7 +22,7 @@ Three finders, all exact or certified:
 ``find_3ap`` and ``find_config`` share one orient-and-frame step
 (``_orient_and_frame``): the 3-AP is the f(t) = t case of the configuration,
 and the two differ only in their hypothesis gates, their bridge inequalities
-and the map applied to the right bridge piece.
+and the map f applied to the piece that carries t.
 
 Every witness carries nested membership chains and replays independently via
 ``verify_witness``.
@@ -28,9 +30,10 @@ Every witness carries nested membership chains and replays independently via
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .constructions import (
     CounterexampleParams,
@@ -72,8 +75,11 @@ from .functions import (
 )
 from .gaplemma import persistent_intersect
 
-DEFAULT_PRECISION = Fraction(1, 2 ** 64)
 WITNESS_WIDTH = Fraction(1, 2 ** 48)
+# Width of the certified inverse enclosing each end of the witness offset t.
+_INVERSE_PRECISION = Fraction(1, 2 ** 64)
+# find_config halves delta at most this many times before giving up.
+_DELTA_HALVINGS = 40
 # find_config gates tau on the thickness floor over depths 1..CONFIG_GATE_DEPTH.
 CONFIG_GATE_DEPTH = 4
 
@@ -263,17 +269,6 @@ def _point_enclosures(
     )
 
 
-def _membership_chain(
-    family: StageFamily, enclosure: ClosedInterval, max_depth: int
-) -> Chain:
-    try:
-        return tuple(family.interval_chain(enclosure, max_depth))
-    except DomainError as exc:
-        raise PrecisionError(
-            str(exc), retry_hint="tighten inverse precision or reduce max depth"
-        ) from exc
-
-
 def _build_witness(
     family: StageFamily,
     max_depth: int,
@@ -281,9 +276,16 @@ def _build_witness(
     t: ClosedInterval,
     ft: ClosedInterval,
 ) -> ConfigWitness:
-    chains = tuple(
-        _membership_chain(family, enc, max_depth) for enc in _point_enclosures(x, t, ft)
-    )
+    """Membership chains of the three point enclosures.  The finders build
+    every enclosure inside stage intervals, so one that leaves the family is
+    a bug."""
+    try:
+        chains = tuple(
+            tuple(family.interval_chain(enc, max_depth))
+            for enc in _point_enclosures(x, t, ft)
+        )
+    except DomainError as exc:
+        raise InternalContradictionError(f"witness point left the family: {exc}") from exc
     return ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
 
 
@@ -433,31 +435,25 @@ class SearchConfig:
     """Tunables for the nonlinear search.
 
     ``rho`` must satisfy 0 < rho < 1 and rho * tau >= 1 (default: midpoint
-    of [1/tau, 1]).  ``epsilon`` is the target bound on the derivative ratio
-    deviation used when validating delta; the decisive check is a
-    posteriori: the exact thickness of every certified image stage must
+    of [1/tau, 1]); it fixes the bound epsilon = (1 - rho)/(2 rho) on the
+    derivative ratio deviation used when validating delta.  The decisive
+    check is a posteriori: the exact thickness of every image stage must
     exceed rho * tau.  ``delta`` seeds the hull-shrinking loop and is halved
     until every validation passes.  ``max_depth`` is the number of certified
     refinement levels below the extracted bridge.
     """
 
     rho: Optional[Fraction] = None
-    epsilon: Optional[Fraction] = None
     delta: Optional[Fraction] = None
     max_depth: int = 12
-    inverse_precision: Fraction = DEFAULT_PRECISION
-    max_delta_halvings: int = 40
 
     def __post_init__(self):
-        for name in ("rho", "epsilon", "delta"):
+        for name in ("rho", "delta"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, to_rational(v))
-        object.__setattr__(self, "inverse_precision", to_rational(self.inverse_precision))
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
-        if self.inverse_precision <= 0:
-            raise DomainError("inverse_precision must be positive")
 
 
 @dataclass
@@ -480,33 +476,6 @@ class FindConfigResult:
 
 class _RetryDelta(Exception):
     """Internal: the a-posteriori image-thickness check failed; shrink delta."""
-
-
-class _MonotoneMap:
-    """Memoized increasing map, given by a certified enclosure of each point's
-    image: the exact polynomial f (y -> [f(y), f(y)]) or its certified
-    inverse on a fixed bracket."""
-
-    def __init__(self, enclose: Callable[[Fraction], ClosedInterval]):
-        self._enclose = enclose
-        self._cache: dict[Fraction, ClosedInterval] = {}
-
-    def point(self, y: Fraction) -> ClosedInterval:
-        if y not in self._cache:
-            self._cache[y] = self._enclose(y)
-        return self._cache[y]
-
-    def outward(self, piece: ClosedInterval) -> ClosedInterval:
-        """An interval containing the image of every point of ``piece``."""
-        return ClosedInterval(self.point(piece.lo).lo, self.point(piece.hi).hi)
-
-    def inward(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
-        """An interval inside the image of ``piece``, if one is certified."""
-        lo = self.point(piece.lo).hi
-        hi = self.point(piece.hi).lo
-        if lo > hi:
-            return None
-        return ClosedInterval(lo, hi)
 
 
 def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fraction) -> bool:
@@ -573,25 +542,24 @@ def find_config(
         )
     if slope <= 0:
         raise HypothesisError(
-            f"f'(0) = {slope} must be positive for the search to set up an inverse"
+            f"f'(0) = {slope} must be positive: the search maps offsets forward "
+            f"through an increasing f"
         )
 
     rho = cfg.rho if cfg.rho is not None else (1 / tau + 1) / 2
     if not (0 < rho < 1 and rho * tau >= 1):
         raise DomainError(f"rho = {rho} must satisfy 0 < rho < 1 and rho*tau >= 1")
-    eps = cfg.epsilon if cfg.epsilon is not None else (1 - rho) / (2 * rho)
-    if eps <= 0:
-        raise DomainError("epsilon must be positive")
+    eps = (1 - rho) / (2 * rho)
 
     hull = family.stage(0).hull().length
     delta = cfg.delta if cfg.delta is not None else hull / 8
     last_error: Optional[Exception] = None
-    for _ in range(cfg.max_delta_halvings):
+    for _ in range(_DELTA_HALVINGS):
         if not _validate_delta(f, tau, delta, eps):
             delta = delta / 2
             continue
         try:
-            return _attempt_config(family, f, cfg, tau, rho, eps, delta)
+            return _attempt_config(family, f, cfg.max_depth, tau, rho, eps, delta)
         except _RetryDelta as exc:
             last_error = exc
             delta = delta / 2
@@ -605,14 +573,13 @@ def find_config(
 def _attempt_config(
     family: StageFamily,
     f: FunctionSpec,
-    cfg: SearchConfig,
+    levels: int,
     tau: Fraction,
     rho: Fraction,
     eps: Fraction,
     delta: Fraction,
 ) -> FindConfigResult:
     sub = subset_extract(family, delta)
-    levels = cfg.max_depth
     sub_stages = sub.stages(0, levels)
 
     # Thickness must survive both the extraction and each refinement level.
@@ -629,46 +596,35 @@ def _attempt_config(
             "bridge-ratio facts failed although thickness was verified"
         )
 
-    # The map sending the right offset into the left offsets' coordinate,
-    # where the intersection runs: the certified inverse when no reflection
-    # happened, the exact polynomial after reflecting (the roles of f and its
-    # inverse swap).  The bracket is certified monotone once, here; every
-    # inverse below only bisects.
-    bracket = MonotoneBracket(Fraction(0), tau * right_reach, f)
-    inverse = _MonotoneMap(
-        lambda y: monotone_inverse(f, y, bracket, cfg.inverse_precision)
-    )
+    # The left offsets carry t and the right offsets f(t); a reflection swaps
+    # the roles.  Every offset lies in the validated box, where f is
+    # increasing, so the exact polynomial maps each interval of the t piece
+    # onto [f(lo), f(hi)] and the intersection runs in f(t) coordinates.
     poly = f.polynomial()
-    exact = _MonotoneMap(lambda y: ClosedInterval(fy := poly(y), fy))
-    image_map = exact if fr.reflected else inverse
+    image_of = functools.cache(poly)
+    if fr.reflected:
+        source, target, reach = fr.right, fr.left, right_reach
+        frame = (gap_len, image_of(right_reach), left_reach)
+    else:
+        source, target, reach = fr.left, fr.right, left_reach
+        frame = (image_of(gap_len), right_reach, image_of(left_reach))
 
-    # Mean-value bound: the image of the right reach must fall strictly
-    # inside (gap length, left reach); guaranteed by the validated window.
-    reach_enc = image_map.point(right_reach)
-    if reach_enc.hi <= gap_len or reach_enc.lo >= left_reach:
+    # Mean-value bound, decided exactly in f(t) coordinates: the right reach
+    # falls strictly inside the span (gap length, left reach) of the left
+    # piece; guaranteed by the validated window.
+    if not frame[0] < frame[1] < frame[2]:
         raise InternalContradictionError(
-            f"image of the right reach {reach_enc.lo}..{reach_enc.hi} left the "
-            f"open interval ({gap_len}, {left_reach}) despite validated bounds"
-        )
-    if not (gap_len < reach_enc.lo and reach_enc.hi < left_reach):
-        raise PrecisionError(
-            "enclosure of the mapped right reach straddles a frame bound",
-            retry_hint="tighten inverse_precision",
+            "frame bound {} < {} < {} failed despite validated bounds".format(*frame)
         )
 
     image_stages: list[CantorStage] = []
     image_thickness_min: Optional[Fraction] = None
-    for stage in fr.right:
-        pieces = []
-        for iv in stage.intervals:
-            img = image_map.outward(iv)
-            if pieces and not pieces[-1].hi < img.lo:
-                raise PrecisionError(
-                    "outward-rounded image intervals collide",
-                    retry_hint="tighten inverse_precision",
-                )
-            pieces.append(img)
-        image_stage = CantorStage(tuple(pieces), depth=stage.depth, allow_degenerate=True)
+    for stage in source:
+        image_stage = CantorStage(
+            tuple(ClosedInterval(image_of(iv.lo), image_of(iv.hi)) for iv in stage.intervals),
+            depth=stage.depth,
+            allow_degenerate=True,
+        )
         image_stages.append(image_stage)
         if image_stage.count >= 2:
             tv = thickness(image_stage).value
@@ -682,41 +638,19 @@ def _attempt_config(
     if image_thickness_min is None:
         raise _RetryDelta("image stages never developed a bounded gap")
 
-    chain = persistent_intersect(fr.left, image_stages, check=False).chain
-    deepest = chain[-1]
-
-    # Tighten inward so the mapped offset provably lands inside its source
-    # interval, then shrink to the witness width.
-    host_img = image_stages[-1].interval_containing(deepest)
-    if host_img is None:
+    deepest = persistent_intersect(target, image_stages, check=False).chain[-1]
+    host = image_stages[-1].interval_containing(deepest)
+    if host is None:
         raise InternalContradictionError("deepest common interval left the image stage")
-    source = fr.right[-1].intervals[image_stages[-1].intervals.index(host_img)]
-    inner = image_map.inward(source)
-    tight = None if inner is None else deepest.intersection(inner)
-    if tight is None:
-        raise PrecisionError(
-            "intersection survives only in the outward-rounding fringe",
-            retry_hint="tighten inverse_precision or add depth",
-        )
-    u = _shrink_centered(tight, WITNESS_WIDTH)
+    source_iv = source[-1].intervals[image_stages[-1].intervals.index(host)]
 
-    if not fr.reflected:
-        # u is the t offset; the right offset is the exact polynomial image.
-        t_enc = u
-        ft_enc = exact.outward(u)
-    else:
-        # u is the right offset s = f(t); t needs the certified inverse,
-        # clamped into its (exactly known) source interval.
-        ft_enc = u
-        raw = inverse.outward(u)
-        lo = max(raw.lo, source.lo)
-        hi = min(raw.hi, source.hi)
-        if lo > hi:
-            raise PrecisionError(
-                "inverse enclosure of the witness offset collapsed",
-                retry_hint="tighten inverse_precision",
-            )
-        t_enc = ClosedInterval(lo, hi)
+    # ft is exact; t encloses f^-1(ft), which lies inside source_iv, so the
+    # clamp to source_iv keeps it nonempty and inside the t piece.
+    ft_enc = _shrink_centered(deepest, WITNESS_WIDTH)
+    bracket = MonotoneBracket(Fraction(0), tau * reach, f)
+    t_lo = monotone_inverse(f, ft_enc.lo, bracket, _INVERSE_PRECISION).lo
+    t_hi = monotone_inverse(f, ft_enc.hi, bracket, _INVERSE_PRECISION).hi
+    t_enc = ClosedInterval(max(t_lo, source_iv.lo), min(t_hi, source_iv.hi))
 
     witness = _build_witness(family, sub.depth_offset + levels, fr.x, t_enc, ft_enc)
     report = verify_witness(family, witness, f)

@@ -286,13 +286,13 @@ def test_missing_file_is_usage_class_error(capsys):
     assert "not found" in err
 
 
-def test_precision_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("THICKSET_PRECISION", "1/1048576")
-    code, out, _ = run(
+def test_find_config_has_no_precision_option(capsys):
+    # The search maps offsets forward exactly, so there is no inverse
+    # precision to set.
+    code, _, err = run(
         ["find-config", "--set-family", "middle-alpha:1/5", "--f", "1",
-         "--max-depth", "6"],
+         "--max-depth", "6", "--precision", "1/2"],
         capsys,
     )
-    assert code == 0
-    witness = json.loads(out)
-    assert F(witness["t"][0]) > 0
+    assert code == 3
+    assert "--precision" in err

@@ -166,6 +166,41 @@ def test_monotone_inverse_round_trip_containment():
         assert eval_function(f, enc.lo) <= y <= eval_function(f, enc.hi)
 
 
+@st.composite
+def _inverse_problems(draw):
+    """A polynomial f with f(0) = 0, a bracket on which MonotoneBracket
+    certifies it increasing or decreasing, a target between the bracket-end
+    values (often the ends themselves) and a precision."""
+    slope = F(draw(st.integers(1, 4))) * draw(st.sampled_from((1, -1)))
+    higher = draw(st.lists(st.builds(F, st.integers(-6, 6), st.just(8)), max_size=2))
+    f = FunctionSpec((slope, *higher))
+    lo = F(draw(st.integers(-8, 7)), 8)
+    hi = lo + F(draw(st.integers(1, 8)), 8)
+    try:
+        bracket = MonotoneBracket(lo, hi, f)
+    except DomainError:
+        assume(False)
+    at = draw(st.one_of(st.just(F(0)), st.just(F(1)), st.integers(0, 64).map(lambda k: F(k, 64))))
+    y_lo, y_hi = eval_function(f, lo), eval_function(f, hi)
+    precision = F(1, 2 ** draw(st.integers(1, 64)))
+    return f, bracket, y_lo + (y_hi - y_lo) * at, precision
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inverse_problems())
+def test_monotone_inverse_encloses_the_sympy_root(problem):
+    f, bracket, y, precision = problem
+    enc = monotone_inverse(f, y, bracket, precision)
+    assert bracket.contains_interval(enc)
+    assert enc.length <= precision
+    q = sympy.Rational
+    shifted = sympy.Poly([q(c) for c in reversed(f.coefficients)] + [-q(y)], sympy.Symbol("t"))
+    # f is strictly monotone on the bracket: f - y has exactly one root there,
+    # and Sturm counting in sympy places it in the closed enclosure.
+    assert shifted.count_roots(q(bracket.lo), q(bracket.hi)) == 1
+    assert shifted.count_roots(q(enc.lo), q(enc.hi)) == 1
+
+
 def test_derivative_ratio_bound_identity_zero():
     assert derivative_ratio_bound(IDENTITY, ClosedInterval(F(-5), F(5))) == 0
 

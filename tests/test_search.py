@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickset import (
     CantorStage,
@@ -268,12 +270,10 @@ PINNED_WITNESSES = {
     ),
     "config-middle-fifth": (
         "1923/3125",
-        ["168820161926949644535161/21990232555520000000000000",
-         "168820161927027769535161/21990232555520000000000000"],
-        ["37152446455414702391365763739112090533151765295921/"
-         "4835703278458516698824704000000000000000000000000000",
-         "37152446455431908638700064831097564777058015295921/"
-         "4835703278458516698824704000000000000000000000000000"],
+        ["432179614542569997/56294995342131200000",
+         "86435922908553939/11258999068426240000"],
+        ["32224610528804379361518436743267/4194304000000000000000000000000000",
+         "32224610528819280522712284399517/4194304000000000000000000000000000"],
         14,
     ),
     "config-right-heavy-reflected": (
@@ -309,6 +309,81 @@ def test_search_witnesses_are_pinned(name):
         "config-right-heavy-reflected": (F(1, 8), 3, True),
     }.get(name)
     assert diagnostics == expected
+
+
+# The config-middle-fifth witness of the earlier search, which inverted every
+# right-piece endpoint to 2^-64 and intersected in t coordinates.  It is still
+# a valid certificate and must keep replaying.
+INVERSE_MAP_MIDDLE_FIFTH = (
+    "1923/3125",
+    ["168820161926949644535161/21990232555520000000000000",
+     "168820161927027769535161/21990232555520000000000000"],
+    ["37152446455414702391365763739112090533151765295921/"
+     "4835703278458516698824704000000000000000000000000000",
+     "37152446455431908638700064831097564777058015295921/"
+     "4835703278458516698824704000000000000000000000000000"],
+    14,
+)
+
+
+def test_inverse_map_witness_still_verifies():
+    fam = middle_alpha_family(F(1, 5))
+    x, t, ft, depth = INVERSE_MAP_MIDDLE_FIFTH
+    x = F(x)
+    t = ClosedInterval(*map(F, t))
+    ft = ClosedInterval(*map(F, ft))
+    points = (ClosedInterval(x - t.hi, x - t.lo), ClosedInterval(x, x),
+              ClosedInterval(x + ft.lo, x + ft.hi))
+    chains = tuple(tuple(fam.interval_chain(enc, depth)) for enc in points)
+    witness = ConfigWitness(x=x, t=t, ft=ft, depth=depth, chains=chains)
+    assert verify_witness(fam, witness, GENTLE)["ok"]
+
+
+def _horner(coeffs, t):
+    """f(t) = c1 t + c2 t^2 + ..., evaluated exactly."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = (acc + c) * t
+    return acc
+
+
+def _scan_host(stage, lo, hi):
+    """The intervals of ``stage`` that contain [lo, hi], by linear scan."""
+    return [iv for iv in stage.intervals if iv.lo <= lo and hi <= iv.hi]
+
+
+# (family, thickness, whether the search must reflect)
+_CONFIG_CASES = {
+    "middle-1/5": (middle_alpha_family(F(1, 5)), F(2), False),
+    "middle-1/6": (middle_alpha_family(F(1, 6)), F(5, 2), False),
+    "middle-1/7": (middle_alpha_family(F(1, 7)), F(3), False),
+    "middle-2/11": (middle_alpha_family(F(2, 11)), F(9, 4), False),
+    "right-heavy": (right_heavy_family(), F(3), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_CASES))
+@settings(max_examples=25, deadline=None)
+@given(
+    position=st.integers(1, 39).map(lambda k: F(k, 40)),
+    quad=st.integers(-10, 10).map(lambda k: F(k, 20)),
+    levels=st.integers(3, 7),
+)
+def test_find_config_witness_against_linear_scan(case, position, quad, levels):
+    fam, tau, reflected = _CONFIG_CASES[case]
+    # f = s t + c t^2 with s strictly inside the slope window of tau.
+    lower, upper = max(tau / (tau + 1), 1 / tau), min(tau, 1 + 1 / tau)
+    coeffs = (lower + (upper - lower) * position, quad)
+    res = find_config(fam, FunctionSpec(coeffs), SearchConfig(max_depth=levels))
+    assert res.reflected == reflected
+    w = res.witness
+    assert w.t.lo > 0
+    assert _horner(coeffs, w.t.lo) <= w.ft.lo <= w.ft.hi <= _horner(coeffs, w.t.hi)
+    points = ((w.x - w.t.hi, w.x - w.t.lo), (w.x, w.x), (w.x + w.ft.lo, w.x + w.ft.hi))
+    for d in range(w.depth + 1):
+        stage = fam.stage(d)
+        for lo, hi in points:
+            assert len(_scan_host(stage, lo, hi)) == 1, (d, lo, hi)
 
 
 def test_verify_witness_detects_tampering():
