@@ -29,6 +29,7 @@ from .core import (
     ClosedInterval,
     Gap,
     RationalLike,
+    _trusted_interval,
     affine_image,
     restrict,
     thickness,
@@ -66,17 +67,62 @@ class StageFamily:
         return chain
 
 
+class _GridRefiner:
+    """A built-in construction's refinement as one integer formula.
+
+    ``cut(x, y, iv, depth)`` takes interval ``iv`` = [x/den, y/den] of a grid
+    over any denominator ``den`` and returns the integers (a, b) that split
+    it into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
+    applies the formula to a whole stage grid and builds the child stage
+    straight from the child grid; calling the object is the per-interval
+    refiner, with validated children, that ``interval_chain`` walks.
+    """
+
+    def __init__(
+        self, factor: int, cut: Callable[[int, int, ClosedInterval, int], tuple[int, int]]
+    ):
+        self.factor = factor
+        self.cut = cut
+
+    def __call__(self, iv: ClosedInterval, depth: int) -> list[ClosedInterval]:
+        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+        a, b = self.cut(ln * hd, hn * ld, iv, depth)
+        den = ld * hd * self.factor
+        return [ClosedInterval(iv.lo, Fraction(a, den)), ClosedInterval(Fraction(b, den), iv.hi)]
+
+    def refine(self, parent: CantorStage, depth: int) -> CantorStage:
+        den, lo, hi = parent._grid
+        m, cut = self.factor, self.cut
+        den *= m
+        ivs: list[ClosedInterval] = []
+        clo: list[int] = []
+        chi: list[int] = []
+        for iv, x, y in zip(parent.intervals, lo, hi):
+            a, b = cut(x, y, iv, depth)
+            ivs += (_trusted_interval(iv.lo, Fraction(a, den)),
+                    _trusted_interval(Fraction(b, den), iv.hi))
+            clo += (x * m, b)
+            chi += (a, y * m)
+        return CantorStage._from_grid(tuple(ivs), (den, clo, chi), parent.depth + 1, parent)
+
+
 class RefinableFamily(StageFamily):
     """A family generated by refining each interval independently.
 
     The refiner maps (interval, depth) to the child intervals it splits
     into; children must stay inside the interval and keep its endpoints so
-    that gaps only ever get added, never moved.
+    that gaps only ever get added, never moved.  The built-in constructions
+    refine a whole stage grid at once; any other refiner's children are
+    validated ``ClosedInterval``s and build their stage through the public
+    constructor.
     """
 
     def __init__(self, root: CantorStage, refine_interval: IntervalRefiner, name: str = ""):
         self._cache: list[CantorStage] = [root]
         self._refine = refine_interval
+        # Added to a stage's depth to give the depth the refiner is called
+        # with: nonzero for the local family of a RestrictedFamily.
+        self._depth_shift = 0
         self.name = name
 
     def stage(self, depth: int) -> CantorStage:
@@ -84,18 +130,21 @@ class RefinableFamily(StageFamily):
             raise DomainError("family depth must be nonnegative")
         while len(self._cache) <= depth:
             parent = self._cache[-1]
-            children: list[ClosedInterval] = []
-            for iv in parent.intervals:
-                children.extend(self._refine(iv, parent.depth))
-            self._cache.append(
-                CantorStage(tuple(children), depth=parent.depth + 1, parent=parent)
-            )
+            at = parent.depth + self._depth_shift
+            if isinstance(self._refine, _GridRefiner):
+                child = self._refine.refine(parent, at)
+            else:
+                children: list[ClosedInterval] = []
+                for iv in parent.intervals:
+                    children.extend(self._refine(iv, at))
+                child = CantorStage(tuple(children), depth=parent.depth + 1, parent=parent)
+            self._cache.append(child)
         return self._cache[depth]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         """Walk down refining only the containing interval: avoids
         materializing exponentially large deep stages."""
-        root_depth = self._cache[0].depth
+        root_depth = self._cache[0].depth + self._depth_shift
         host = self._cache[0].interval_containing(enclosure)
         if host is None:
             raise DomainError(f"enclosure {enclosure} is outside the root stage")
@@ -139,29 +188,26 @@ class RestrictedFamily(StageFamily):
                 for iv in root.intervals
             )
             if aligned:
-                shift = depth_offset
-
-                def local_refiner(iv: ClosedInterval, depth: int):
-                    return refiner(iv, depth + shift)
-
-                local_root = CantorStage(root.intervals, depth=0,
-                                         allow_degenerate=root.allow_degenerate)
-                self._local = RefinableFamily(local_root, local_refiner)
+                self._local = RefinableFamily(_at_depth(root, 0), refiner)
+                self._local._depth_shift = offset_stage.depth
 
     def stage(self, depth: int) -> CantorStage:
         if self._local is not None:
             return self._local.stage(depth)
         if depth not in self._cache:
             raw = restrict(self.base.stage(depth + self.depth_offset), self.window)
-            self._cache[depth] = CantorStage(
-                raw.intervals, depth=depth, allow_degenerate=raw.allow_degenerate
-            )
+            self._cache[depth] = _at_depth(raw, depth)
         return self._cache[depth]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         if self._local is not None:
             return self._local.interval_chain(enclosure, max_depth)
         return super().interval_chain(enclosure, max_depth)
+
+
+def _at_depth(stage: CantorStage, depth: int) -> CantorStage:
+    """The same intervals and grid as a parentless stage of another depth."""
+    return CantorStage._from_grid(stage.intervals, stage._grid, depth, None, stage.allow_degenerate)
 
 
 class AffineFamily(StageFamily):
@@ -185,20 +231,15 @@ class AffineFamily(StageFamily):
 # middle-alpha sets
 # ---------------------------------------------------------------------------
 
-def _middle_alpha_refiner(alpha: Fraction) -> IntervalRefiner:
+def _middle_alpha_refiner(alpha: Fraction) -> _GridRefiner:
     bn, bd = ((1 - alpha) / 2).as_integer_ratio()
 
-    def refine(iv: ClosedInterval, _depth: int) -> list[ClosedInterval]:
-        # Over den = ld*hd*bd: lo, hi and beta * width are integers.
-        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-        den = ld * hd * bd
-        cut = bn * (hn * ld - ln * hd)
-        return [
-            ClosedInterval(iv.lo, Fraction(ln * hd * bd + cut, den)),
-            ClosedInterval(Fraction(hn * ld * bd - cut, den), iv.hi),
-        ]
+    def cut(x: int, y: int, _iv: ClosedInterval, _depth: int) -> tuple[int, int]:
+        # Over den*bd, beta * width is bn * (y - x).
+        keep = bn * (y - x)
+        return x * bd + keep, y * bd - keep
 
-    return refine
+    return _GridRefiner(bd, cut)
 
 
 def middle_alpha_family(
@@ -270,35 +311,30 @@ def _seeded_share(tag: str) -> int:
     return int.from_bytes(digest[:_SHARE_BITS // 8], "big")
 
 
-def _random_thick_refiner(spec: RandomThickSpec) -> IntervalRefiner:
+def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     tn, td = spec.target_tau.as_integer_ratio()
     crit = 2 * tn + td  # alpha = 1 / (2 tau + 1) = td / crit
     unit = 2 ** _SHARE_BITS
+    placement = spec.gap_placement
+    pd = unit if placement is None else placement.denominator
+    # Gap strictly below the critical proportion so the admissible placement
+    # region is nondegenerate: gap = s*alpha*width, s in [1/2, 1), leaves
+    # slack width*(1 - s) for the position.  With s = sn/(2*unit) and
+    # placement pn/pd, the cuts are lo + width*c for c = tau*s*alpha +
+    # placement*(1 - s) (left flank) and that plus s*alpha (gap), both over
+    # cd = 2*unit*crit*pd.
+    cd = 2 * unit * crit * pd
 
-    def refine(iv: ClosedInterval, depth: int) -> list[ClosedInterval]:
+    def cut(x: int, y: int, iv: ClosedInterval, depth: int) -> tuple[int, int]:
         tag = f"{spec.seed}:{depth}:{iv.lo}:{iv.hi}"
-        # Gap strictly below the critical proportion so the admissible
-        # placement region is nondegenerate: gap = s*alpha*width, s in
-        # [1/2, 1), leaves slack width*(1 - s) for the position.  With
-        # s = sn/(2*unit) and placement pn/pd, the cuts are lo + width*c
-        # for c = tau*s*alpha + placement*(1 - s) (left flank) and that
-        # plus s*alpha (gap), both over cd = 2*unit*crit*pd.
         sn = unit + _seeded_share(tag + ":len")
-        if spec.gap_placement is not None:
-            pn, pd = spec.gap_placement.as_integer_ratio()
-        else:
-            pn, pd = _seeded_share(tag + ":pos"), unit
-        cd = 2 * unit * crit * pd
+        pn = _seeded_share(tag + ":pos") if placement is None else placement.numerator
         left = tn * sn * pd + pn * (2 * unit - sn) * crit
         right = left + sn * td * pd
-        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-        base, width, den = ln * hd * cd, hn * ld - ln * hd, ld * hd * cd
-        return [
-            ClosedInterval(iv.lo, Fraction(base + width * left, den)),
-            ClosedInterval(Fraction(base + width * right, den), iv.hi),
-        ]
+        base, width = x * cd, y - x
+        return base + width * left, base + width * right
 
-    return refine
+    return _GridRefiner(cd, cut)
 
 
 def random_thick_family(

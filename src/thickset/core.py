@@ -18,13 +18,15 @@ Vocabulary (all standard):
   bounded-gap endpoints.
 
 Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
-guarantees lowest terms and a positive denominator.  Each stage also caches
-one integer grid: its endpoints as Python ints over their common
-denominator, computed once when the stage is built.  Stage validation, the
-nesting check, bridges and thickness, ``restrict`` and ``affine_image`` read
-the grid (as do the gap-lemma merges), so they compare and subtract ints
-instead of walking ``Fraction`` chains; a new endpoint is normalised once,
-by ``Fraction(numerator, denominator)``.
+guarantees lowest terms and a positive denominator.  Each stage also carries
+one integer grid: its endpoints as Python ints over one common denominator,
+the lcm of the endpoint denominators for a stage built from intervals, any
+common multiple for a stage that ``restrict``, ``affine_image``, the
+gap-lemma merge or a built-in refiner builds straight from the grid it
+computed.  Stage validation, the nesting check, bridges and thickness read
+the grid, so they compare and subtract ints instead of walking ``Fraction``
+chains; a new endpoint is normalised once, by ``Fraction(numerator,
+denominator)``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq, le, lt, ne
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+# A stage's integer grid (den, lo, hi): interval k is [lo[k]/den, hi[k]/den].
+Grid = tuple[int, list[int], list[int]]
 
 BOUNDED = "bounded"
 LEFT_UNBOUNDED = "left_unbounded"
@@ -68,7 +73,9 @@ def rational_str(value: Fraction) -> str:
 @dataclass(frozen=True)
 class ClosedInterval:
     """A closed interval [lo, hi] with lo <= hi; also the type of certified
-    enclosures of a real value (an exact value v is [v, v])."""
+    enclosures of a real value (an exact value v is [v, v]).  Grid
+    operations, whose stage checks the order on ints, build their intervals
+    through ``_trusted_interval`` instead of this checking constructor."""
 
     lo: Fraction
     hi: Fraction
@@ -105,6 +112,22 @@ class ClosedInterval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def _trusted_interval(lo: Fraction, hi: Fraction) -> ClosedInterval:
+    """A ``ClosedInterval`` of two Fractions with lo <= hi, built without the
+    constructor's coercion and check."""
+    iv = object.__new__(ClosedInterval)
+    d = iv.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    return iv
+
+
+def _first_false(flags: Iterable[bool]) -> int:
+    """Index of the first false flag, or -1 when every flag holds."""
+    flags = list(flags)
+    return flags.index(False) if False in flags else -1
 
 
 @dataclass(frozen=True)
@@ -171,43 +194,67 @@ class CantorStage:
     explicitly built with ``allow_degenerate=True`` (exact intersections may
     legitimately produce isolated points).
 
-    Building a stage caches its integer grid ``(den, lo, hi)``: ``den`` is
-    the lcm of the endpoint denominators and ``lo[k] / den``, ``hi[k] / den``
-    are the endpoints of interval k.  The constructor's disjointness and
-    zero-length checks, ``check_nested_in``, the bridge pass behind
-    ``thickness``, ``all_bridge_reports`` and ``bridge_at``, ``restrict``,
-    ``affine_image`` and the gap-lemma merges all read it.  The grid is
-    private and never mutated; ``intervals`` stays the public view.
+    Every stage carries an integer grid ``(den, lo, hi)``: ``den`` is a
+    common denominator of the endpoints and ``lo[k] / den``, ``hi[k] / den``
+    are the endpoints of interval k.  The constructor computes it over the
+    lcm of the endpoint denominators; ``_from_grid`` takes it from the
+    operation that made the stage, whose ``den`` may be any common multiple.
+    Either way the stage checks (``_validate``) run on the grid's ints, and
+    ``check_nested_in``, the bridge pass behind ``thickness``,
+    ``all_bridge_reports`` and ``bridge_at``, ``restrict``, ``affine_image``
+    and the gap-lemma merges all read it.  The grid is private and never
+    mutated; ``intervals`` stays the public view.
     """
 
     intervals: tuple[ClosedInterval, ...]
     depth: int = 0
     parent: Optional["CantorStage"] = field(default=None, compare=False, repr=False)
     allow_degenerate: bool = field(default=False, compare=False, repr=False)
-    _grid: tuple[int, list[int], list[int]] = field(
-        init=False, compare=False, repr=False
-    )
+    _grid: Grid = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
         object.__setattr__(self, "intervals", ivs)
-        if not ivs:
-            raise DomainError("a stage must contain at least one interval")
         lo_ratios = [iv.lo.as_integer_ratio() for iv in ivs]
         hi_ratios = [iv.hi.as_integer_ratio() for iv in ivs]
         den = math.lcm(*{d for _, d in lo_ratios}, *{d for _, d in hi_ratios})
         lo = [n * (den // d) for n, d in lo_ratios]
         hi = [n * (den // d) for n, d in hi_ratios]
         object.__setattr__(self, "_grid", (den, lo, hi))
-        for k in range(len(ivs) - 1):
-            if not hi[k] < lo[k + 1]:
-                raise DomainError(
-                    f"stage intervals must be disjoint and increasing: {ivs[k]} then {ivs[k + 1]}"
-                )
+        self._validate()
+
+    @classmethod
+    def _from_grid(cls, intervals: tuple[ClosedInterval, ...], grid: Grid, depth: int = 0,
+                   parent: Optional["CantorStage"] = None,
+                   allow_degenerate: bool = False) -> "CantorStage":
+        """A stage from its intervals and the grid they were computed from:
+        the grid is taken as it is, and every stage check runs on its ints."""
+        stage = object.__new__(cls)
+        stage.__dict__.update(intervals=intervals, depth=depth, parent=parent,
+                              allow_degenerate=allow_degenerate, _grid=grid)
+        stage._validate()
+        return stage
+
+    def _validate(self) -> None:
+        """The stage checks, on the grid's ints: nonempty, each interval in
+        order, disjoint and increasing, no zero length unless degenerate
+        stages are allowed, nonnegative depth, nested in the parent."""
+        ivs = self.intervals
+        if not ivs:
+            raise DomainError("a stage must contain at least one interval")
+        _, lo, hi = self._grid
+        k = _first_false(map(le, lo, hi))
+        if k >= 0:
+            raise DomainError(f"interval endpoints out of order: {ivs[k]}")
+        k = _first_false(map(lt, hi, lo[1:]))
+        if k >= 0:
+            raise DomainError(
+                f"stage intervals must be disjoint and increasing: {ivs[k]} then {ivs[k + 1]}"
+            )
         if not self.allow_degenerate:
-            for k in range(len(ivs)):
-                if lo[k] == hi[k]:
-                    raise DomainError(f"zero-length interval {ivs[k]} in a non-degenerate stage")
+            k = _first_false(map(ne, lo, hi))
+            if k >= 0:
+                raise DomainError(f"zero-length interval {ivs[k]} in a non-degenerate stage")
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if self.parent is not None:
@@ -505,7 +552,8 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     degenerates to a point is kept (it is honest intersection content) and
     marks the result as degenerate-permitting.  Two binary searches on the
     grid find the intervals that meet the window; only the first and last of
-    them can be clipped.
+    them can be clipped.  The others keep their intervals and grid ints,
+    which are rescaled only when a window endpoint is off the grid.
     """
     den, lo, hi = stage._grid
     wn, wd = window.lo.as_integer_ratio()
@@ -515,23 +563,29 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     last = bisect_right(lo, vn * den, key=lambda x: x * vd)
     if first >= last:
         raise DomainError(f"window {window} does not intersect the stage")
-    clipped = list(stage.intervals[first:last])
-    clipped[0] = clipped[0].intersection(window)
-    clipped[-1] = clipped[-1].intersection(window)
-    degenerate = (
-        clipped[0].lo == clipped[0].hi
-        or clipped[-1].lo == clipped[-1].hi
-        or any(lo[k] == hi[k] for k in range(first + 1, last - 1))
+    ivs = list(stage.intervals[first:last])
+    common = math.lcm(den, wd, vd)
+    m = common // den
+    clo = [x * m for x in lo[first:last]]
+    chi = [x * m for x in hi[first:last]]
+    wlo, whi = wn * (common // wd), vn * (common // vd)
+    if clo[0] < wlo:
+        clo[0] = wlo
+        ivs[0] = _trusted_interval(window.lo, ivs[0].hi)
+    if chi[-1] > whi:
+        chi[-1] = whi
+        ivs[-1] = _trusted_interval(ivs[-1].lo, window.hi)
+    return CantorStage._from_grid(
+        tuple(ivs), (common, clo, chi), stage.depth, None, any(map(eq, clo, chi))
     )
-    return CantorStage(tuple(clipped), depth=stage.depth, allow_degenerate=degenerate)
 
 
 def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:
     """Exact image of the stage under x -> scale*x + shift (scale nonzero).
 
     With scale = p/q and shift = r/s, a grid endpoint X/den maps to
-    (X*p*s + r*q*den) / (den*q*s): one integer numerator over one
-    denominator, normalised once.
+    (X*p*s + r*q*den) / (den*q*s): the image's grid is those numerators over
+    den*q*s, and each endpoint is normalised once.
     """
     scale = to_rational(scale)
     shift = to_rational(shift)
@@ -543,12 +597,10 @@ def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -
     a, b, d = p * s, r * q * den, den * q * s
     if p < 0:
         lo, hi = hi[::-1], lo[::-1]
-    ivs = tuple(
-        ClosedInterval(Fraction(x * a + b, d), Fraction(y * a + b, d))
-        for x, y in zip(lo, hi)
-    )
-    degenerate = any(x == y for x, y in zip(lo, hi))
-    return CantorStage(ivs, depth=stage.depth, allow_degenerate=degenerate)
+    lo = [x * a + b for x in lo]
+    hi = [y * a + b for y in hi]
+    ivs = tuple(_trusted_interval(Fraction(x, d), Fraction(y, d)) for x, y in zip(lo, hi))
+    return CantorStage._from_grid(ivs, (d, lo, hi), stage.depth, None, any(map(eq, lo, hi)))
 
 
 # ---------------------------------------------------------------------------

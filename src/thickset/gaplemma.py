@@ -24,6 +24,7 @@ from .core import (
     CantorStage,
     ClosedInterval,
     Gap,
+    _trusted_interval,
     rational_str,
     thickness,
 )
@@ -159,14 +160,17 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
     interval: stages overapproximate their limit sets, so a nonempty stage
     intersection is necessary evidence, not sufficient (see
     ``persistent_intersect`` for the refinement-chain version).  The merge
-    compares the two grids over one denominator, and every common interval
-    reuses the inputs' endpoint Fractions.
+    compares the two grids over one denominator; every common interval
+    reuses the inputs' endpoint Fractions, and the common stage is built on
+    the merge's own grid ints.
     """
     den = math.lcm(k1._grid[0], k2._grid[0])
     alo, ahi = k1._grid_over(den)
     blo, bhi = k2._grid_over(den)
     a, b = k1.intervals, k2.intervals
     out: list[ClosedInterval] = []
+    starts: list[int] = []
+    ends: list[int] = []
     i = j = 0
     while i < len(a) and j < len(b):
         start, lo = (alo[i], a[i].lo) if alo[i] >= blo[j] else (blo[j], b[j].lo)
@@ -177,13 +181,13 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
             end, hi = bhi[j], b[j].hi
             j += 1
         if start <= end:
-            out.append(ClosedInterval(lo, hi))
+            out.append(_trusted_interval(lo, hi))
+            starts.append(start)
+            ends.append(end)
     if not out:
         return None
-    common = CantorStage(
-        tuple(out),
-        depth=max(k1.depth, k2.depth),
-        allow_degenerate=True,
+    common = CantorStage._from_grid(
+        tuple(out), (den, starts, ends), max(k1.depth, k2.depth), None, True
     )
     return IntersectionWitness(common=common, sample_point=_widest(common).midpoint)
 

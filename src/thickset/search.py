@@ -31,6 +31,7 @@ Every witness carries nested membership chains and replays independently via
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -44,13 +45,11 @@ from .constructions import (
 )
 from .core import (
     LEFT,
-    RIGHT,
     CantorStage,
     ClosedInterval,
     Gap,
     RationalLike,
     affine_image,
-    bounded_gaps,
     bridge_at,
     rational_str,
     restrict,
@@ -103,23 +102,38 @@ class GapFrame:
     left_at_least_right: bool
 
 
+def _largest_gap(lo: list[int], hi: list[int]) -> int:
+    """Index of the largest bounded gap of a stage grid, leftmost on ties."""
+    widths = [b - a for a, b in zip(hi, lo[1:])]
+    return widths.index(max(widths))
+
+
 def largest_gap_frame(stage: CantorStage) -> GapFrame:
-    """Largest bounded gap (leftmost on ties) with its two bridges."""
-    gs = bounded_gaps(stage)
-    if not gs:
+    """Largest bounded gap (leftmost on ties) with its two bridges.
+
+    The gap is an argmax of the grid's gap widths.  No gap is strictly
+    longer, so both bridges run to the ends of the stage.
+    """
+    _, lo, hi = stage._grid
+    if len(lo) < 2:
         raise DomainError("no bounded gap: cannot frame a single interval")
-    best = gs[0]
-    for g in gs[1:]:
-        if g.length > best.length:
-            best = g
-    left = bridge_at(stage, best.lo, LEFT).bridge
-    right = bridge_at(stage, best.hi, RIGHT).bridge
+    i = _largest_gap(lo, hi)
+    ivs = stage.intervals
+    gap = Gap(ivs[i].hi, ivs[i + 1].lo)
     return GapFrame(
-        gap=best,
-        left_bridge=left,
-        right_bridge=right,
-        left_at_least_right=left.length >= right.length,
+        gap=gap,
+        left_bridge=ClosedInterval(stage.min, gap.lo),
+        right_bridge=ClosedInterval(gap.hi, stage.max),
+        left_at_least_right=hi[i] - lo[0] >= hi[-1] - lo[i + 1],
     )
+
+
+def _is_endpoint(ends: list[int], den: int, value: Fraction) -> bool:
+    """Whether ``value`` is one of the grid ``ends`` over ``den``: one
+    bisection, cross-multiplied."""
+    n, d = value.as_integer_ratio()
+    k = bisect_left(ends, n * den, key=lambda x: x * d)
+    return k < len(ends) and ends[k] * d == n * den
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +161,24 @@ def subset_extract(
     if delta <= 0:
         raise DomainError("delta must be positive")
 
+    dn, dd = delta.as_integer_ratio()
     found = None
     for depth in range(1, max_scan_depth + 1):
         stage = family.stage(depth)
         if stage.count < 2:
             continue
-        frame = largest_gap_frame(stage)
-        u = frame.gap.hi
-        reach = min(frame.gap.length, delta)
-        for g in bounded_gaps(stage):
-            if g.lo <= u:
-                continue
-            if g.lo - u >= reach:
+        # On the grid: u is the largest gap's right end; a gap qualifies when
+        # it starts right of u, closer than min(|largest gap|, delta), and is
+        # strictly shorter.
+        den, lo, hi = stage._grid
+        i = _largest_gap(lo, hi)
+        u, width = lo[i + 1], lo[i + 1] - hi[i]
+        reach = min(width * dd, dn * den)  # (start - u) / den >= reach / (den * dd)
+        for j in range(bisect_right(hi, u), len(lo) - 1):
+            if (hi[j] - u) * dd >= reach:
                 break
-            if g.length < frame.gap.length:
-                found = (depth, stage, g)
+            if lo[j + 1] - hi[j] < width:
+                found = (depth, stage, j)
                 break
         if found:
             break
@@ -172,8 +189,8 @@ def subset_extract(
             required_depth=max_scan_depth + 1,
         )
 
-    depth, stage, g = found
-    window = bridge_at(stage, g.lo, LEFT).bridge
+    depth, stage, j = found
+    window = bridge_at(stage, stage.intervals[j].hi, LEFT).bridge
     if window.length >= delta:
         raise InternalContradictionError(
             f"extracted bridge {window} is not shorter than delta = {delta}"
@@ -183,10 +200,8 @@ def subset_extract(
     # the stage; from there on the window spans whole intervals.
     base = None
     for d in range(1, depth + 1):
-        s = family.stage(d)
-        has_lo = any(iv.lo == window.lo for iv in s.intervals)
-        has_hi = any(iv.hi == window.hi for iv in s.intervals)
-        if has_lo and has_hi:
+        den, lo, hi = family.stage(d)._grid
+        if _is_endpoint(lo, den, window.lo) and _is_endpoint(hi, den, window.hi):
             base = d
             break
     if base is None:
@@ -358,22 +373,34 @@ class _OrientedFrame(NamedTuple):
 
 
 def _orient_and_frame(stages: list[CantorStage]) -> _OrientedFrame:
+    """Frame the deepest stage, reflecting it when its right bridge is the
+    longer one.  Only the deepest stage is reflected, to frame it (leftmost
+    on ties, as the reflected sequence would be); every stage is then
+    restricted to the bridges mirrored back and mapped once, by the
+    composition of the reflection with the offset map."""
     frame = largest_gap_frame(stages[-1])
     reflected = not frame.left_at_least_right
+    sign = 1
     if reflected:
-        stages = [affine_image(s, Fraction(-1), Fraction(0)) for s in stages]
-        frame = largest_gap_frame(stages[-1])
+        frame = largest_gap_frame(affine_image(stages[-1], Fraction(-1), Fraction(0)))
         if not frame.left_at_least_right:
             raise InternalContradictionError("reflection did not flip bridge dominance")
+        sign = -1
     x0 = frame.gap.hi
+    left_window, right_window = frame.left_bridge, frame.right_bridge
+    if reflected:
+        left_window = ClosedInterval(-left_window.hi, -left_window.lo)
+        right_window = ClosedInterval(-right_window.hi, -right_window.lo)
+    # An oriented point is sign*z for z in the caller's coordinates; the
+    # left offsets are x0 - sign*z and the right offsets sign*z - x0.
     return _OrientedFrame(
         gap_len=frame.gap.length,
         left_reach=x0 - frame.left_bridge.lo,
         right_reach=frame.right_bridge.length,
         reflected=reflected,
-        x=-x0 if reflected else x0,
-        left=[affine_image(restrict(s, frame.left_bridge), Fraction(-1), x0) for s in stages],
-        right=[affine_image(restrict(s, frame.right_bridge), Fraction(1), -x0) for s in stages],
+        x=sign * x0,
+        left=[affine_image(restrict(s, left_window), -sign, x0) for s in stages],
+        right=[affine_image(restrict(s, right_window), sign, -x0) for s in stages],
     )
 
 

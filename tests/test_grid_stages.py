@@ -1,0 +1,344 @@
+"""Stages built straight from integer grids, refereed by the public
+constructor and the Fraction oracles in conftest."""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from thickset import (
+    AffineFamily,
+    CantorStage,
+    ClosedInterval,
+    DomainError,
+    RandomThickSpec,
+    RestrictedFamily,
+    affine_image,
+    bounded_gaps,
+    bridge_at,
+    intersect,
+    middle_alpha_family,
+    random_thick_family,
+    restrict,
+)
+from thickset.core import _trusted_interval
+from thickset.search import largest_gap_frame, subset_extract
+from conftest import (
+    naive_middle_alpha_children,
+    naive_random_thick_children,
+    nesting_problem,
+    random_stage,
+    stage_problem,
+)
+
+
+def assert_rebuilds(stage: CantorStage) -> None:
+    """The stage equals the public constructor's rebuild of its intervals,
+    its grid has the same ratios, and the Fraction oracles find nothing
+    wrong with it."""
+    rebuilt = CantorStage(stage.intervals, depth=stage.depth,
+                          allow_degenerate=stage.allow_degenerate)
+    assert rebuilt == stage
+    assert rebuilt.intervals == stage.intervals
+    den, lo, hi = stage._grid
+    rden, rlo, rhi = rebuilt._grid
+    assert den % rden == 0
+    assert [F(x, den) for x in lo] == [F(x, rden) for x in rlo] == [iv.lo for iv in stage.intervals]
+    assert [F(x, den) for x in hi] == [F(x, rden) for x in rhi] == [iv.hi for iv in stage.intervals]
+    assert stage_problem(stage.intervals, stage.allow_degenerate) is None
+    if stage.parent is not None:
+        assert nesting_problem(stage, stage.parent) is None
+
+
+_taus = st.sampled_from([F(1), F(3, 2), F(2), F(3), F(7, 5)])
+_placements = st.one_of(st.none(), st.builds(F, st.integers(0, 7), st.just(7)))
+_bases = st.tuples(
+    st.builds(F, st.integers(-50, 50), st.integers(1, 60)),
+    st.builds(F, st.integers(1, 50), st.integers(1, 60)),
+).map(lambda p: ClosedInterval(p[0], p[0] + p[1]))
+_scales = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+_shifts = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+
+
+def _family(kind, tau, seed, placement, base):
+    if kind == "random-thick":
+        return random_thick_family(RandomThickSpec(tau, 0, seed, placement), base)
+    return middle_alpha_family(1 / (2 * tau + 1), base)
+
+
+_families = st.builds(
+    _family, st.sampled_from(["random-thick", "middle-alpha"]), _taus,
+    st.integers(0, 2 ** 64 - 1), _placements, _bases,
+)
+
+
+# ---------------------------------------------------------------------------
+# every grid operation equals the public path
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(_families)
+def test_refined_stages_rebuild_through_the_public_path(family):
+    for d in range(7):
+        stage = family.stage(d)
+        assert_rebuilds(stage)
+        assert stage.depth == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), _taus, st.booleans(), _scales, _shifts)
+def test_affine_image_rebuilds_through_the_public_path(seed, tau, degenerate, scale, shift):
+    stage = random_stage(seed, tau=tau, depth=4)
+    if degenerate:
+        stage = restrict(stage, ClosedInterval(stage.min, stage.intervals[2].lo))
+    image = affine_image(stage, scale, shift)
+    assert_rebuilds(image)
+    assert image.allow_degenerate == degenerate
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200), _taus, st.integers(0, 1024), st.integers(0, 1024),
+       st.sampled_from([F(0), F(1, 7), F(1, 3 ** 9), F(1, 2 ** 40)]))
+def test_restrict_rebuilds_through_the_public_path(seed, tau, a, b, offset):
+    """Windows on and off the stage's grid, clipping one, both or neither
+    end interval."""
+    stage = random_stage(seed, tau=tau, depth=5)
+    lo, hi = sorted((a, b))
+    window = ClosedInterval(F(lo, 1024) + offset, F(hi, 1024) + offset)
+    assume(any(iv.intersection(window) for iv in stage.intervals))
+    part = restrict(stage, window)
+    assert_rebuilds(part)
+    expected = [iv.intersection(window) for iv in stage.intervals]
+    assert list(part.intervals) == [iv for iv in expected if iv is not None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 200))
+def test_restrict_to_interval_endpoints_keeps_the_intervals(seed, pick):
+    stage = random_stage(seed, depth=5)
+    k = pick % stage.count
+    j = min(stage.count - 1, k + pick % 5)
+    part = restrict(stage, ClosedInterval(stage.intervals[k].lo, stage.intervals[j].hi))
+    assert_rebuilds(part)
+    assert part.intervals == stage.intervals[k:j + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_taus, _taus, st.integers(0, 2 ** 32), st.integers(0, 2 ** 32),
+       st.integers(1, 200), st.integers(1, 6))
+def test_intersect_rebuilds_through_the_public_path(tau1, tau2, seed1, seed2, k, depth):
+    f1 = random_thick_family(RandomThickSpec(tau1, 0, seed1))
+    f2 = AffineFamily(random_thick_family(RandomThickSpec(tau2, 0, seed2)), F(1), F(k, 1024))
+    w = intersect(f1.stage(depth), f2.stage(depth))
+    assume(w is not None)
+    assert_rebuilds(w.common)
+    assert w.common.depth == depth
+    pieces = [a.intersection(b) for a in f1.stage(depth).intervals
+              for b in f2.stage(depth).intervals]
+    assert list(w.common.intervals) == sorted((p for p in pieces if p is not None),
+                                              key=lambda iv: iv.lo)
+
+
+# ---------------------------------------------------------------------------
+# _from_grid rejects what the public constructor rejects, with its text
+# ---------------------------------------------------------------------------
+
+_coords = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 1024]))
+
+
+def _public_error(pairs, depth=0, parent=None, allow_degenerate=False):
+    try:
+        ivs = tuple(ClosedInterval(a, b) for a, b in pairs)
+        CantorStage(ivs, depth=depth, parent=parent, allow_degenerate=allow_degenerate)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _grid_error(pairs, scale, depth=0, parent=None, allow_degenerate=False):
+    den = math.lcm(*(x.denominator for p in pairs for x in p)) * scale
+    grid = (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
+            [b.numerator * (den // b.denominator) for _, b in pairs])
+    ivs = tuple(_trusted_interval(a, b) for a, b in pairs)
+    try:
+        stage = CantorStage._from_grid(ivs, grid, depth, parent, allow_degenerate)
+    except DomainError as exc:
+        return str(exc)
+    assert_rebuilds(stage)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords), max_size=8), st.booleans(),
+       st.sampled_from([1, 2, 5, 2 ** 40]), st.booleans())
+def test_from_grid_rejects_like_the_public_constructor(pairs, allow_degenerate, scale, tidy):
+    if tidy:
+        pairs = sorted((min(a, b), max(a, b)) for a, b in pairs)
+    expected = _public_error(pairs, allow_degenerate=allow_degenerate)
+    assert _grid_error(pairs, scale, allow_degenerate=allow_degenerate) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100), st.lists(st.integers(-40, 1064), min_size=2, max_size=12, unique=True),
+       st.sampled_from([1, 3, 2 ** 20]))
+def test_from_grid_nesting_matches_the_public_constructor(seed, ends, scale):
+    parent = random_stage(seed, depth=2)
+    ends = sorted(F(x, 1024) for x in ends)
+    pairs = list(zip(ends[::2], ends[1::2]))
+    expected = _public_error(pairs, depth=3, parent=parent)
+    assert _grid_error(pairs, scale, depth=3, parent=parent) == expected
+
+
+def test_from_grid_rejects_each_fault_with_the_public_text():
+    cases = {
+        "out of order": [(F(0), F(1)), (F(3), F(2))],
+        "overlapping": [(F(0), F(2)), (F(1), F(3))],
+        "zero length": [(F(0), F(1)), (F(2), F(2))],
+    }
+    for pairs in cases.values():
+        text = _public_error(pairs)
+        assert text is not None and _grid_error(pairs, 3) == text
+    parent = CantorStage((ClosedInterval(F(0), F(1)),))
+    pairs = [(F(1, 2), F(3, 2))]
+    text = _public_error(pairs, depth=1, parent=parent)
+    assert text is not None and _grid_error(pairs, 1, depth=1, parent=parent) == text
+    assert _grid_error([(F(0), F(1))], 1, depth=-1) == "depth must be nonnegative"
+    with pytest.raises(DomainError, match="at least one interval"):
+        CantorStage._from_grid((), (1, [], []))
+
+
+# ---------------------------------------------------------------------------
+# one integer formula, two adapters
+# ---------------------------------------------------------------------------
+
+def _assert_one_formula(family, depth):
+    """Whole-stage refinement equals the per-interval refiner at every
+    depth, and ``interval_chain`` follows the stages."""
+    shift = family._depth_shift
+    for d in range(depth):
+        stage = family.stage(d)
+        children = [c for iv in stage.intervals for c in family._refine(iv, d + shift)]
+        assert list(family.stage(d + 1).intervals) == children
+    deepest = family.stage(depth)
+    for iv in (deepest.intervals[0], deepest.intervals[len(deepest.intervals) // 2]):
+        point = ClosedInterval(iv.midpoint, iv.midpoint)
+        chain = family.interval_chain(point, depth)
+        assert chain == [family.stage(d).interval_containing(point) for d in range(depth + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families)
+def test_whole_stage_refinement_equals_the_interval_refiner(family):
+    _assert_one_formula(family, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_taus, st.integers(0, 2 ** 64 - 1), _placements, st.integers(1, 3), st.integers(0, 99))
+def test_local_refinement_equals_the_base_family(tau, seed, placement, offset, pick):
+    spec = RandomThickSpec(tau, 0, seed, placement)
+    base = random_thick_family(spec)
+    top = base.stage(offset)
+    k = pick % top.count
+    window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
+    sub = RestrictedFamily(base, window, depth_offset=offset)
+    assert sub._local is not None and sub._local._depth_shift == offset
+    _assert_one_formula(sub._local, 4)
+    for level in range(5):
+        stage = sub.stage(level)
+        assert stage.intervals == restrict(base.stage(offset + level), window).intervals
+        if level:
+            # The seeded tag is built from the reduced endpoints and the base depth.
+            at = offset + level - 1
+            expected = [c for iv in sub.stage(level - 1).intervals
+                        for c in naive_random_thick_children(iv.lo, iv.hi, at, spec)]
+            assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
+
+
+def test_middle_alpha_local_refinement_matches_naive_arithmetic():
+    alpha = F(1, 5)
+    base = middle_alpha_family(alpha)
+    sub = RestrictedFamily(base, base.stage(2).intervals[1], depth_offset=2)
+    for level in range(1, 5):
+        expected = [c for iv in sub.stage(level - 1).intervals
+                    for c in naive_middle_alpha_children(iv.lo, iv.hi, alpha)]
+        assert [(iv.lo, iv.hi) for iv in sub.stage(level).intervals] == expected
+
+
+# ---------------------------------------------------------------------------
+# grid-native frame scan
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _tied_stages(draw):
+    """Stages over a small denominator with few distinct gap lengths, so the
+    largest gap often ties, some zero-length intervals, and either sign of
+    scale."""
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.integers(2, 10))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    spaces = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    x, ivs = 0, []
+    for w, gap in zip(widths, spaces):
+        ivs.append(ClosedInterval(F(x, den), F(x + w, den)))
+        x += w + gap
+    stage = CantorStage(tuple(ivs), allow_degenerate=True)
+    return affine_image(stage, draw(_scales), draw(_shifts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_stages())
+def test_largest_gap_frame_matches_fraction_scan(stage):
+    gaps = bounded_gaps(stage)
+    best = gaps[0]
+    for g in gaps[1:]:
+        if g.length > best.length:
+            best = g
+    frame = largest_gap_frame(stage)
+    left = bridge_at(stage, best.lo, "left").bridge
+    right = bridge_at(stage, best.hi, "right").bridge
+    assert (frame.gap, frame.left_bridge, frame.right_bridge) == (best, left, right)
+    assert frame.left_at_least_right == (left.length >= right.length)
+
+
+def _fraction_extract_window(family, delta, max_scan_depth):
+    """The window and offset ``subset_extract`` picks, by the Fraction scan
+    over validated gaps."""
+    for depth in range(1, max_scan_depth + 1):
+        stage = family.stage(depth)
+        frame = largest_gap_frame(stage)
+        u = frame.gap.hi
+        reach = min(frame.gap.length, delta)
+        for g in bounded_gaps(stage):
+            if g.lo <= u:
+                continue
+            if g.lo - u >= reach:
+                break
+            if g.length < frame.gap.length:
+                window = bridge_at(stage, g.lo, "left").bridge
+                for d in range(1, depth + 1):
+                    ivs = family.stage(d).intervals
+                    if (any(iv.lo == window.lo for iv in ivs)
+                            and any(iv.hi == window.hi for iv in ivs)):
+                        return window, d
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families, st.integers(2, 9))
+def test_subset_extract_matches_fraction_scan(family, k):
+    delta = (family.stage(0).max - family.stage(0).min) / 2 ** k
+    sub = subset_extract(family, delta, max_scan_depth=12)
+    assert (sub.window, sub.depth_offset) == _fraction_extract_window(family, delta, 12)
+
+
+@pytest.mark.parametrize("alpha, delta", [
+    (F(1, 3), F(1, 9)), (F(1, 3), F(1, 27)), (F(1, 3), F(2, 27)), (F(1, 5), F(4, 25)),
+])
+def test_subset_extract_reach_bound_is_exclusive(alpha, delta):
+    """Deltas equal to the distance from the largest gap to a shorter one:
+    that gap is out of reach."""
+    family = middle_alpha_family(alpha)
+    sub = subset_extract(family, delta, max_scan_depth=12)
+    assert (sub.window, sub.depth_offset) == _fraction_extract_window(family, delta, 12)
