@@ -47,11 +47,10 @@ from .errors import (
 from .functions import FunctionSpec, derivative_window
 from .gaplemma import check_hypotheses, intersect
 from .search import (
-    CONFIG_GATE_DEPTH,
     SearchConfig,
+    config_gate_thickness,
     find_3ap,
     find_config,
-    thickness_floor,
     verify_counterexample,
 )
 
@@ -341,7 +340,7 @@ def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
 def _cmd_sweep(args) -> int:
     family = _parse_family(args.set_family)
     # The floor find_config gates on, so in_window agrees with --strict-window.
-    tau = thickness_floor(family, CONFIG_GATE_DEPTH)
+    tau = config_gate_thickness(family)
     window = derivative_window(tau) if tau > 1 else None
     if args.steps < 2:
         raise _UsageError("sweep needs at least 2 steps")

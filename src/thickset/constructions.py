@@ -45,7 +45,14 @@ IntervalRefiner = Callable[[ClosedInterval, int], Sequence[ClosedInterval]]
 # ---------------------------------------------------------------------------
 
 class StageFamily:
-    """A refinement sequence of Cantor stages, indexed by depth from 0."""
+    """A refinement sequence of Cantor stages, indexed by depth from 0.
+
+    ``thickness_bound`` is a lower bound on the thickness of every stage at
+    depth >= 1 that the construction certifies, or None when it certifies
+    none.
+    """
+
+    thickness_bound: Optional[Fraction] = None
 
     def stage(self, depth: int) -> CantorStage:
         raise NotImplementedError
@@ -117,8 +124,10 @@ class RefinableFamily(StageFamily):
     constructor.
     """
 
-    def __init__(self, root: CantorStage, refine_interval: IntervalRefiner, name: str = ""):
+    def __init__(self, root: CantorStage, refine_interval: IntervalRefiner, name: str = "",
+                 thickness_bound: Optional[Fraction] = None):
         self._cache: list[CantorStage] = [root]
+        self.thickness_bound = thickness_bound
         self._refine = refine_interval
         # Added to a stage's depth to give the depth the refiner is called
         # with: nonzero for the local family of a RestrictedFamily.
@@ -211,12 +220,14 @@ def _at_depth(stage: CantorStage, depth: int) -> CantorStage:
 
 
 class AffineFamily(StageFamily):
-    """View of a family under an exact affine map."""
+    """View of a family under an exact affine map.  Thickness is affine
+    invariant, so the view keeps the base family's bound."""
 
     def __init__(self, base: StageFamily, scale: Fraction, shift: Fraction):
         if scale == 0:
             raise DomainError("affine family requires a nonzero scale")
         self.base = base
+        self.thickness_bound = base.thickness_bound
         self.scale = to_rational(scale)
         self.shift = to_rational(shift)
         self._cache: dict[int, CantorStage] = {}
@@ -252,7 +263,8 @@ def middle_alpha_family(
     if base is None:
         base = ClosedInterval(Fraction(0), Fraction(1))
     root = CantorStage((base,), depth=0)
-    return RefinableFamily(root, _middle_alpha_refiner(alpha), name=f"middle-alpha:{alpha}")
+    return RefinableFamily(root, _middle_alpha_refiner(alpha), name=f"middle-alpha:{alpha}",
+                           thickness_bound=(1 - alpha) / (2 * alpha))
 
 
 def middle_alpha(alpha: RationalLike, depth: int) -> CantorStage:
@@ -344,7 +356,8 @@ def random_thick_family(
         base = ClosedInterval(Fraction(0), Fraction(1))
     root = CantorStage((base,), depth=0)
     return RefinableFamily(
-        root, _random_thick_refiner(spec), name=f"random-thick:{spec.target_tau}:{spec.seed}"
+        root, _random_thick_refiner(spec), name=f"random-thick:{spec.target_tau}:{spec.seed}",
+        thickness_bound=spec.target_tau,
     )
 
 

@@ -21,12 +21,12 @@ Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
 guarantees lowest terms and a positive denominator.  Each stage also carries
 one integer grid: its endpoints as Python ints over one common denominator,
 the lcm of the endpoint denominators for a stage built from intervals, any
-common multiple for a stage that ``restrict``, ``affine_image``, the
-gap-lemma merge or a built-in refiner builds straight from the grid it
-computed.  Stage validation, the nesting check, bridges and thickness read
-the grid, so they compare and subtract ints instead of walking ``Fraction``
-chains; a new endpoint is normalised once, by ``Fraction(numerator,
-denominator)``.
+common multiple for a stage that ``restrict``, a polynomial image (affine
+or the search's map f), the gap-lemma merge or a built-in refiner builds
+straight from the grid it computed.  Stage validation, the nesting check,
+bridges and thickness read the grid, so they compare and subtract ints
+instead of walking ``Fraction`` chains; a new endpoint is normalised once,
+by ``Fraction(numerator, denominator)``.
 """
 
 from __future__ import annotations
@@ -303,26 +303,29 @@ class CantorStage:
     def contains_point(self, x: Fraction) -> bool:
         return self.interval_containing_point(x) is not None
 
-    def interval_containing_point(self, x: Fraction) -> Optional[ClosedInterval]:
-        """Binary search for the interval containing x, if any."""
+    def _containing_index(self, piece: ClosedInterval) -> int:
+        """Binary search for the index of the interval containing ``piece``
+        entirely, or -1."""
         ivs = self.intervals
         lo, hi = 0, len(ivs) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            if x < ivs[mid].lo:
+            if piece.lo < ivs[mid].lo:
                 hi = mid - 1
-            elif x > ivs[mid].hi:
+            elif piece.lo > ivs[mid].hi:
                 lo = mid + 1
             else:
-                return ivs[mid]
-        return None
+                return mid if piece.hi <= ivs[mid].hi else -1
+        return -1
+
+    def interval_containing_point(self, x: Fraction) -> Optional[ClosedInterval]:
+        """The interval containing x, if any."""
+        return self.interval_containing(_trusted_interval(x, x))
 
     def interval_containing(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
         """The stage interval containing ``piece`` entirely, if any."""
-        host = self.interval_containing_point(piece.lo)
-        if host is not None and host.contains_interval(piece):
-            return host
-        return None
+        k = self._containing_index(piece)
+        return self.intervals[k] if k >= 0 else None
 
     def __str__(self) -> str:
         return " ".join(str(iv) for iv in self.intervals)
@@ -580,27 +583,46 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     )
 
 
-def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:
-    """Exact image of the stage under x -> scale*x + shift (scale nonzero).
+def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> CantorStage:
+    """Exact image of the stage under x -> sum(coeffs[k] * x**k), degree >= 1,
+    for a polynomial the caller knows to be monotone on the stage's hull.
 
-    With scale = p/q and shift = r/s, a grid endpoint X/den maps to
-    (X*p*s + r*q*den) / (den*q*s): the image's grid is those numerators over
-    den*q*s, and each endpoint is normalised once.
+    With c_k = p_k/d_k and q = lcm(d_k), a grid endpoint X/den maps to
+    N(X) / (q * den**n), where N(X) is the integer Horner scheme with
+    coefficients c_k * q * den**(n - k).  The image's grid is those
+    numerators over q * den**n, reversed when the images decrease, and each
+    endpoint is normalised once.  The stage checks run on the image grid, so
+    endpoint images out of order, touching or collapsed to a point (unless
+    the stage allows that) raise DomainError.
     """
+    den, lo, hi = stage._grid
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    q = math.lcm(*(d for _, d in ratios))
+    n = len(ratios) - 1
+    a = [p * (q // d) * den ** (n - k) for k, (p, d) in enumerate(ratios)]
+    top, rest = a[-1], a[-2::-1]
+
+    def horner(xs: list[int]) -> list[int]:
+        acc = [x * top + rest[0] for x in xs]
+        for c in rest[1:]:
+            acc = [v * x + c for v, x in zip(acc, xs)]
+        return acc
+
+    lo, hi = horner(lo), horner(hi)
+    if lo[0] > hi[-1]:
+        lo, hi = hi[::-1], lo[::-1]
+    d = q * den ** n
+    ivs = tuple(_trusted_interval(Fraction(x, d), Fraction(y, d)) for x, y in zip(lo, hi))
+    return CantorStage._from_grid(ivs, (d, lo, hi), stage.depth, None, stage.allow_degenerate)
+
+
+def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:
+    """Exact image of the stage under x -> scale*x + shift (scale nonzero):
+    the degree-1 case of the integer Horner image on the stage's grid."""
     scale = to_rational(scale)
-    shift = to_rational(shift)
     if scale == 0:
         raise DomainError("affine image requires a nonzero scale")
-    den, lo, hi = stage._grid
-    p, q = scale.as_integer_ratio()
-    r, s = shift.as_integer_ratio()
-    a, b, d = p * s, r * q * den, den * q * s
-    if p < 0:
-        lo, hi = hi[::-1], lo[::-1]
-    lo = [x * a + b for x in lo]
-    hi = [y * a + b for y in hi]
-    ivs = tuple(_trusted_interval(Fraction(x, d), Fraction(y, d)) for x, y in zip(lo, hi))
-    return CantorStage._from_grid(ivs, (d, lo, hi), stage.depth, None, any(map(eq, lo, hi)))
+    return _polynomial_image(stage, (to_rational(shift), scale))
 
 
 # ---------------------------------------------------------------------------

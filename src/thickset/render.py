@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from fractions import Fraction
 
 from .core import CantorStage, all_bridge_reports
@@ -45,18 +46,27 @@ def _transform(stage: CantorStage, log_scale: bool):
 
 def _assign_levels(spans: list[tuple[float, float]]) -> list[int]:
     """Greedy stacking so overlapping braces land on different rows,
-    narrowest braces nearest the axis."""
-    occupied: list[list[tuple[float, float]]] = []
+    narrowest braces nearest the axis.
+
+    The braces on a row are disjoint, so each row keeps their starts and
+    ends as two sorted lists: [a, b] fits a row unless the first start at or
+    after a is at most b, or the end just before it reaches a.  One bisection
+    per row tried.
+    """
+    rows: list[tuple[list[float], list[float]]] = []
     out = [0] * len(spans)
     order = sorted(range(len(spans)), key=lambda i: spans[i][1] - spans[i][0])
     for i in order:
         a, b = spans[i]
-        level = 0
-        while level < len(occupied) and any(not (b < c or d < a) for c, d in occupied[level]):
-            level += 1
-        if level == len(occupied):
-            occupied.append([])
-        occupied[level].append((a, b))
+        for level, (starts, ends) in enumerate(rows):
+            k = bisect_left(starts, a)
+            if not ((k < len(starts) and starts[k] <= b) or (k and ends[k - 1] >= a)):
+                break
+        else:
+            level, starts, ends, k = len(rows), [], [], 0
+            rows.append((starts, ends))
+        starts.insert(k, a)
+        ends.insert(k, b)
         out[i] = level
     return out
 

@@ -30,7 +30,6 @@ Every witness carries nested membership chains and replays independently via
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +48,7 @@ from .core import (
     ClosedInterval,
     Gap,
     RationalLike,
+    _polynomial_image,
     affine_image,
     bridge_at,
     rational_str,
@@ -79,7 +79,8 @@ WITNESS_WIDTH = Fraction(1, 2 ** 48)
 _INVERSE_PRECISION = Fraction(1, 2 ** 64)
 # find_config halves delta at most this many times before giving up.
 _DELTA_HALVINGS = 40
-# find_config gates tau on the thickness floor over depths 1..CONFIG_GATE_DEPTH.
+# find_config gates a family that certifies no thickness bound on its
+# thickness floor over depths 1..CONFIG_GATE_DEPTH.
 CONFIG_GATE_DEPTH = 4
 
 
@@ -422,6 +423,15 @@ def thickness_floor(family: StageFamily, max_depth: int) -> Fraction:
     return min(values)
 
 
+def config_gate_thickness(family: StageFamily) -> Fraction:
+    """The thickness ``find_config`` gates on: the family's certified bound,
+    else its exact floor over depths 1..CONFIG_GATE_DEPTH (deeper levels are
+    checked as the search reaches them)."""
+    if family.thickness_bound is not None:
+        return family.thickness_bound
+    return thickness_floor(family, CONFIG_GATE_DEPTH)
+
+
 def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     """A certified 3-AP {x - t, x, x + t} in a family of thickness >= 1 at
     every certified depth 1..max_depth.
@@ -556,7 +566,7 @@ def find_config(
     certified level.
     """
     cfg = cfg or SearchConfig()
-    tau = thickness_floor(family, CONFIG_GATE_DEPTH)
+    tau = config_gate_thickness(family)
     if tau <= 1:
         raise HypothesisError(
             f"nonlinear search requires thickness > 1, got {tau}"
@@ -610,8 +620,16 @@ def _attempt_config(
     sub_stages = sub.stages(0, levels)
 
     # Thickness must survive both the extraction and each refinement level.
+    # Below a certified bound that is a bug; below the floor gated on for a
+    # family that certifies none, the family is thin deeper than the gate.
     for piece in sub_stages:
-        if piece.count >= 2 and thickness(piece).value < tau:
+        if piece.count >= 2 and (value := thickness(piece).value) < tau:
+            if family.thickness_bound is None:
+                raise HypothesisError(
+                    f"extracted family thickness {value} at depth "
+                    f"{sub.depth_offset + piece.depth} is below the floor {tau} "
+                    f"gated on over depths 1..{CONFIG_GATE_DEPTH}"
+                )
             raise InternalContradictionError(
                 f"extracted family lost thickness at level {piece.depth}"
             )
@@ -626,15 +644,15 @@ def _attempt_config(
     # The left offsets carry t and the right offsets f(t); a reflection swaps
     # the roles.  Every offset lies in the validated box, where f is
     # increasing, so the exact polynomial maps each interval of the t piece
-    # onto [f(lo), f(hi)] and the intersection runs in f(t) coordinates.
+    # onto [f(lo), f(hi)] (integer Horner on the stage's grid) and the
+    # intersection runs in f(t) coordinates.
     poly = f.polynomial()
-    image_of = functools.cache(poly)
     if fr.reflected:
         source, target, reach = fr.right, fr.left, right_reach
-        frame = (gap_len, image_of(right_reach), left_reach)
+        frame = (gap_len, poly(right_reach), left_reach)
     else:
         source, target, reach = fr.left, fr.right, left_reach
-        frame = (image_of(gap_len), right_reach, image_of(left_reach))
+        frame = (poly(gap_len), right_reach, poly(left_reach))
 
     # Mean-value bound, decided exactly in f(t) coordinates: the right reach
     # falls strictly inside the span (gap length, left reach) of the left
@@ -647,11 +665,7 @@ def _attempt_config(
     image_stages: list[CantorStage] = []
     image_thickness_min: Optional[Fraction] = None
     for stage in source:
-        image_stage = CantorStage(
-            tuple(ClosedInterval(image_of(iv.lo), image_of(iv.hi)) for iv in stage.intervals),
-            depth=stage.depth,
-            allow_degenerate=True,
-        )
+        image_stage = _polynomial_image(stage, poly.coeffs)
         image_stages.append(image_stage)
         if image_stage.count >= 2:
             tv = thickness(image_stage).value
@@ -666,10 +680,10 @@ def _attempt_config(
         raise _RetryDelta("image stages never developed a bounded gap")
 
     deepest = persistent_intersect(target, image_stages, check=False).chain[-1]
-    host = image_stages[-1].interval_containing(deepest)
-    if host is None:
+    k = image_stages[-1]._containing_index(deepest)
+    if k < 0:
         raise InternalContradictionError("deepest common interval left the image stage")
-    source_iv = source[-1].intervals[image_stages[-1].intervals.index(host)]
+    source_iv = source[-1].intervals[k]
 
     # ft is exact; t encloses f^-1(ft), which lies inside source_iv, so the
     # clamp to source_iv keeps it nonempty and inside the t piece.

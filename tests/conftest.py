@@ -8,7 +8,14 @@ the package's incremental algorithms, so they can referee them.
 import hashlib
 from fractions import Fraction
 
-from thickset import CantorStage, RandomThickSpec, gaps, random_thick
+from thickset import (
+    CantorStage,
+    ClosedInterval,
+    RandomThickSpec,
+    RefinableFamily,
+    gaps,
+    random_thick,
+)
 
 
 def brute_local_thickness(stage: CantorStage, gap_index: int, side: str) -> Fraction:
@@ -135,3 +142,34 @@ def naive_middle_alpha_children(lo, hi, alpha):
     """The middle-alpha cut of [lo, hi] in step-by-step Fraction arithmetic."""
     keep = (1 - alpha) / 2 * (hi - lo)
     return [(lo, lo + keep), (hi - keep, hi)]
+
+
+def scan_levels(spans):
+    """Brace rows by the greedy scan: narrowest first, each brace on the
+    lowest row where it overlaps no brace already placed, every placed brace
+    compared."""
+    occupied = []
+    out = [0] * len(spans)
+    for i in sorted(range(len(spans)), key=lambda i: spans[i][1] - spans[i][0]):
+        a, b = spans[i]
+        level = 0
+        while level < len(occupied) and any(not (b < c or d < a) for c, d in occupied[level]):
+            level += 1
+        if level == len(occupied):
+            occupied.append([])
+        occupied[level].append((a, b))
+        out[i] = level
+    return out
+
+
+def thin_below_family(depth: int) -> RefinableFamily:
+    """A user refiner that removes the middle fifth of every interval down
+    to ``depth`` and the middle three fifths below it: thickness 2 at depths
+    1..depth, 1/3 deeper, and no certified bound."""
+
+    def refine(iv: ClosedInterval, at: int):
+        keep = (Fraction(2, 5) if at < depth else Fraction(1, 5)) * iv.length
+        return [ClosedInterval(iv.lo, iv.lo + keep), ClosedInterval(iv.hi - keep, iv.hi)]
+
+    root = CantorStage((ClosedInterval(Fraction(0), Fraction(1)),))
+    return RefinableFamily(root, refine, name="thin-below")

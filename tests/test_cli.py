@@ -1,12 +1,15 @@
 """Command-line behavior: round trips, reports, exit codes, rendering."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
+from thickset import cli
 from thickset.cli import main
+from conftest import thin_below_family
 
 
 def run(args, capsys):
@@ -95,6 +98,29 @@ def test_find_config_witness_json(capsys):
     t_lo, t_hi = F(witness["t"][0]), F(witness["t"][1])
     assert 0 < t_lo <= t_hi
     assert "min image thickness" in err
+
+
+def test_find_config_random_thick_witness_json(capsys):
+    # The family certifies thickness 2, the tau find-config gates on.
+    code, out, err = run(
+        ["find-config", "--set-family", "random-thick:2:1", "--f", "1", "--max-depth", "8"],
+        capsys,
+    )
+    assert code == 0
+    assert err.startswith("thickness 2, rho*tau 3/2, min image thickness 8561466953/4279926784")
+    witness = json.loads(out)
+    assert witness["x"] == ("86629765844792419022722056528721239027399255493689/"
+                            "142724769270595988105828596944949513638274662400000")
+    digest = hashlib.sha256(json.dumps(witness).encode()).hexdigest()
+    assert digest == "e44c3c8c1ed138ba5edef71c84899b174b54d19953114cb672bbc737fe36f7a0"
+
+
+def test_find_config_thin_below_the_gate_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parse_family", lambda spec: thin_below_family(5))
+    code, _, err = run(["find-config", "--set-family", "thin", "--f", "1", "--max-depth", "8"],
+                       capsys)
+    assert code == 1
+    assert "hypothesis violated" in err and "at depth 6 is below the floor 2" in err
 
 
 def test_find_config_hypothesis_exit_code(capsys):
@@ -190,8 +216,8 @@ def test_sweep_reports_probe_outcomes(tmp_path, capsys):
 
 
 def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
-    # A random-thick family's thickness keeps falling with depth; find-config
-    # names its tau when it rejects a slope outside the window.
+    # find-config names its tau when it rejects a slope outside the window:
+    # the family's certified bound, which sweep reports too.
     family = "random-thick:3/2:0"
     code, _, err = run(["find-config", "--set-family", family, "--f", "10"], capsys)
     assert code == 1
@@ -203,7 +229,7 @@ def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out_file.read_text())["tau"] == gated_tau
+    assert json.loads(out_file.read_text())["tau"] == gated_tau == "3/2"
 
 
 def test_sweep_parallel_matches_sequential(tmp_path, capsys):

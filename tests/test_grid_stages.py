@@ -23,7 +23,8 @@ from thickset import (
     random_thick_family,
     restrict,
 )
-from thickset.core import _trusted_interval
+from thickset.core import _polynomial_image, _trusted_interval
+from thickset.functions import Polynomial, sign_on_interval
 from thickset.search import largest_gap_frame, subset_extract
 from conftest import (
     naive_middle_alpha_children,
@@ -139,6 +140,93 @@ def test_intersect_rebuilds_through_the_public_path(tau1, tau2, seed1, seed2, k,
               for b in f2.stage(depth).intervals]
     assert list(w.common.intervals) == sorted((p for p in pieces if p is not None),
                                               key=lambda iv: iv.lo)
+
+
+# ---------------------------------------------------------------------------
+# polynomial images: integer Horner on the grid against Fraction Horner
+# ---------------------------------------------------------------------------
+
+def _fraction_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _oracle_pairs(stage, coeffs):
+    """Endpoint images by Fraction Horner, reversed when they decrease."""
+    pairs = [(_fraction_horner(coeffs, iv.lo), _fraction_horner(coeffs, iv.hi))
+             for iv in stage.intervals]
+    if pairs[0][0] > pairs[-1][1]:
+        pairs = [(b, a) for a, b in reversed(pairs)]
+    return pairs
+
+
+_small = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7, 12, 1024]))
+
+
+@st.composite
+def _image_sources(draw):
+    """A random-thick stage (non-minimal grids from depth 6 on), sometimes
+    degenerate, moved by an affine map so its hull can sit anywhere in
+    [-4, 4]."""
+    stage = random_stage(draw(st.integers(0, 200)), tau=draw(_taus),
+                         depth=draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, stage.count - 1))
+        stage = restrict(stage, ClosedInterval(stage.min, stage.intervals[k].lo))
+    return affine_image(stage, draw(_small.filter(lambda c: 0 < abs(c) <= 2)),
+                        draw(_small.filter(lambda c: abs(c) <= 2)))
+
+
+_coeff_lists = st.tuples(
+    _small, _small.filter(bool), st.lists(_small, max_size=2)
+).map(lambda p: (p[0], p[1], *p[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_image_sources(), _coeff_lists)
+def test_polynomial_image_matches_fraction_horner(stage, coeffs):
+    """Degrees 1-3, either sign of slope, on the hull of the stage."""
+    slope = Polynomial(coeffs).derivative()
+    assume(sign_on_interval(slope, stage.hull()) is not None)
+    image = _polynomial_image(stage, coeffs)
+    expected = CantorStage(tuple(ClosedInterval(a, b) for a, b in _oracle_pairs(stage, coeffs)),
+                           depth=stage.depth, allow_degenerate=stage.allow_degenerate)
+    assert image == expected
+    assert_rebuilds(image)
+
+
+def test_polynomial_image_on_a_non_minimal_grid():
+    stage = random_stage(3, tau=F(3, 2), depth=7)
+    assert stage._grid[0] != math.lcm(*(x.denominator for iv in stage.intervals for x in (iv.lo, iv.hi)))
+    for coeffs in ((F(1, 3), F(-7, 5)), (F(0), F(2), F(-1, 3)), (F(1), F(1), F(0), F(1, 7))):
+        image = _polynomial_image(stage, coeffs)
+        pairs = _oracle_pairs(stage, coeffs)
+        assert [(iv.lo, iv.hi) for iv in image.intervals] == pairs
+        assert_rebuilds(image)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_image_sources(), st.integers(0, 10 ** 6), _small.filter(bool), st.booleans())
+def test_polynomial_image_rejects_a_map_that_is_not_monotone(stage, pick, s, cubic):
+    """s u^2, or s (u^3 - r^2 u), in u = t - m for a gap (m - r, m + r): the
+    gap's two endpoints map to one value, so the image fails the stage
+    checks with the public constructor's text."""
+    assume(stage.count >= 2)
+    k = pick % (stage.count - 1)
+    a, b = stage.intervals[k].hi, stage.intervals[k + 1].lo
+    m, r2 = (a + b) / 2, ((b - a) / 2) ** 2
+    if cubic:
+        coeffs = (s * (r2 * m - m ** 3), s * (3 * m * m - r2), -3 * s * m, s)
+    else:
+        coeffs = (s * m * m, -2 * s * m, s)
+    expected = _public_error(_oracle_pairs(stage, coeffs), depth=stage.depth,
+                             allow_degenerate=stage.allow_degenerate)
+    assert expected is not None
+    with pytest.raises(DomainError) as exc:
+        _polynomial_image(stage, coeffs)
+    assert str(exc.value) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Configuration finders, subset extraction, MVT bounds, avoidance checks."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickset import (
+    AffineFamily,
     CantorStage,
     ClosedInterval,
     ConfigWitness,
     ConstructionError,
     FunctionSpec,
     HypothesisError,
+    RandomThickSpec,
     RefinableFamily,
     SearchConfig,
     counterexample_calibrate,
@@ -24,6 +28,7 @@ from thickset import (
     make_stage,
     middle_alpha,
     middle_alpha_family,
+    random_thick_family,
     subset_extract,
     thickness,
     verify_counterexample,
@@ -31,8 +36,8 @@ from thickset import (
     verify_witness,
 )
 from thickset.errors import InsufficientDepthError
-from thickset.search import avoidance_checks
-from conftest import in_middle_thirds
+from thickset.search import avoidance_checks, config_gate_thickness
+from conftest import in_middle_thirds, thin_below_family
 
 GENTLE = FunctionSpec((F(1), F(1, 10)))
 
@@ -259,6 +264,44 @@ def test_find_config_validates_rho():
     fam = middle_alpha_family(F(1, 5))
     with pytest.raises(Exception, match="rho"):
         find_config(fam, GENTLE, SearchConfig(rho=F(1, 4), max_depth=6))
+
+
+def test_family_thickness_bounds():
+    assert middle_alpha_family(F(1, 5)).thickness_bound == 2
+    spec = RandomThickSpec(F(3, 2), 0, 7)
+    assert random_thick_family(spec).thickness_bound == F(3, 2)
+    assert AffineFamily(random_thick_family(spec), F(-2, 3), F(1)).thickness_bound == F(3, 2)
+    assert right_heavy_family().thickness_bound is None
+    # Each bound holds at every depth; middle-alpha's is the exact thickness.
+    for family in (middle_alpha_family(F(2, 11)), random_thick_family(spec),
+                   AffineFamily(random_thick_family(spec), F(-2, 3), F(1))):
+        values = [thickness(family.stage(d)).value for d in range(1, 9)]
+        assert min(values) >= family.thickness_bound
+    assert config_gate_thickness(middle_alpha_family(F(2, 11))) == F(9, 4)
+    # A family with no certificate is gated on its floor over depths 1..4.
+    assert config_gate_thickness(right_heavy_family()) == 3
+    assert config_gate_thickness(thin_below_family(5)) == 2
+
+
+def test_find_config_random_thick_witness_is_pinned():
+    family = random_thick_family(RandomThickSpec(F(3, 2), 0, 7))
+    res = find_config(family, GENTLE, SearchConfig(max_depth=8))
+    assert res.tau == F(3, 2)
+    assert (res.delta, res.extraction_offset, res.reflected) == (F(1, 16), 3, False)
+    doc = res.witness.to_json()
+    assert doc["x"] == ("5936621036293801359883883951263618795/"
+                        "10633823966279326983230456482242756608")
+    assert doc["depth"] == 11
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == "c8cf50017fcd1452c6c741aadecd13bae7501833389fa1713535ab3d92ef0f21"
+    assert verify_witness(family, res.witness, GENTLE)["ok"]
+
+
+def test_find_config_family_thin_below_the_gate_is_a_hypothesis_violation():
+    family = thin_below_family(5)
+    assert [thickness(family.stage(d)).value for d in range(1, 7)] == [2] * 5 + [F(1, 3)]
+    with pytest.raises(HypothesisError, match="thickness 1/3 at depth 6 is below the floor 2"):
+        find_config(family, FunctionSpec((F(1),)), SearchConfig(max_depth=8))
 
 
 # Witnesses are a function of (x, t, ft, depth): the chains follow from them
