@@ -10,6 +10,11 @@ parse, and domain errors.
 
 Rationals cross the CLI boundary as lowest-terms 'p/q' strings, never
 floats.
+
+A depth N builds stages of up to 2**N intervals.  ``construct --depth`` and
+the ``--max-depth`` of find-3ap, find-config and sweep are checked against
+``INTERVAL_BUDGET`` before any refinement; a depth over it is a domain error
+(exit 3) that names the deepest depth within the budget.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .core import (
     thickness,
 )
 from .errors import (
+    DomainError,
     HypothesisError,
     InternalContradictionError,
     ThicksetError,
@@ -55,6 +61,10 @@ from .search import (
 )
 
 USAGE_EXIT = 3
+# The most intervals a requested depth may ask one stage for.  At 2**16,
+# `construct --random-thick 2 --depth 16` peaks at about 250 MB of memory
+# and writes 39 MiB of JSON (Python 3.11 on a 2-core x86-64 host).
+INTERVAL_BUDGET = 2 ** 16
 
 
 class _UsageError(Exception):
@@ -92,6 +102,17 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def _load_stage_file(path: str):
     return loads_stage(_read_text(path))
+
+
+def _check_budget(flag: str, depth: int) -> None:
+    """Raise DomainError when 2**depth intervals exceed INTERVAL_BUDGET
+    (compared by bit length, so a huge depth costs nothing)."""
+    limit = INTERVAL_BUDGET.bit_length() - 1
+    if depth > limit:
+        raise DomainError(
+            f"{flag} {depth} asks for 2**{depth} intervals, over the budget of "
+            f"{INTERVAL_BUDGET} (retry with {flag} {limit} or less)"
+        )
 
 
 def _parse_family(spec: str) -> StageFamily:
@@ -192,6 +213,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_construct(args) -> int:
+    _check_budget("--depth", args.depth)
     if args.middle_alpha is not None:
         stage = middle_alpha_family(args.middle_alpha).stage(args.depth)
     else:
@@ -243,6 +265,7 @@ def _cmd_check_gap_lemma(args) -> int:
 
 
 def _cmd_find_3ap(args) -> int:
+    _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
     witness = find_3ap(family, max_depth=args.max_depth)
     _write_out(json.dumps(witness.to_json(), indent=2), args.out)
@@ -250,6 +273,7 @@ def _cmd_find_3ap(args) -> int:
 
 
 def _cmd_find_config(args) -> int:
+    _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
     f = FunctionSpec.parse(args.f)
     cfg = SearchConfig(rho=args.rho, delta=args.delta, max_depth=args.max_depth)
@@ -338,6 +362,7 @@ def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
 
 
 def _cmd_sweep(args) -> int:
+    _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
     # The floor find_config gates on, so in_window agrees with --strict-window.
     tau = config_gate_thickness(family)

@@ -110,7 +110,8 @@ class _GridRefiner:
                     _trusted_interval(Fraction(b, den), iv.hi))
             clo += (x * m, b)
             chi += (a, y * m)
-        return CantorStage._from_grid(tuple(ivs), (den, clo, chi), parent.depth + 1, parent)
+        return CantorStage._from_grid((den, clo, chi), parent.depth + 1, parent,
+                                      intervals=tuple(ivs))
 
 
 class RefinableFamily(StageFamily):
@@ -215,8 +216,10 @@ class RestrictedFamily(StageFamily):
 
 
 def _at_depth(stage: CantorStage, depth: int) -> CantorStage:
-    """The same intervals and grid as a parentless stage of another depth."""
-    return CantorStage._from_grid(stage.intervals, stage._grid, depth, None, stage.allow_degenerate)
+    """The same grid, and intervals if built, as a parentless stage of
+    another depth."""
+    return CantorStage._from_grid(stage._grid, depth, None, stage.allow_degenerate,
+                                  intervals=stage.__dict__.get("intervals"))
 
 
 class AffineFamily(StageFamily):

@@ -18,15 +18,18 @@ Vocabulary (all standard):
   bounded-gap endpoints.
 
 Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
-guarantees lowest terms and a positive denominator.  Each stage also carries
-one integer grid: its endpoints as Python ints over one common denominator,
-the lcm of the endpoint denominators for a stage built from intervals, any
-common multiple for a stage that ``restrict``, a polynomial image (affine
-or the search's map f), the gap-lemma merge or a built-in refiner builds
-straight from the grid it computed.  Stage validation, the nesting check,
-bridges and thickness read the grid, so they compare and subtract ints
-instead of walking ``Fraction`` chains; a new endpoint is normalised once,
-by ``Fraction(numerator, denominator)``.
+guarantees lowest terms and a positive denominator.  The primary form of a
+stage is one integer grid: its endpoints as Python ints over one common
+denominator, the lcm of the endpoint denominators for a stage built from
+intervals, any common multiple for a stage that ``restrict``, a polynomial
+image (affine or the search's map f), the gap-lemma merge or a built-in
+refiner builds straight from the grid it computed.  Stage validation, the
+nesting check, bridges, thickness and the point and piece lookups read the
+grid, so they compare and subtract ints instead of walking ``Fraction``
+chains.  A grid-built stage normalises its endpoints into ``intervals``
+only on the first read of that attribute, each endpoint once by
+``Fraction(numerator, denominator)``; the search's internal stages, whose
+output is a witness, never build most of them.
 """
 
 from __future__ import annotations
@@ -200,10 +203,16 @@ class CantorStage:
     lcm of the endpoint denominators; ``_from_grid`` takes it from the
     operation that made the stage, whose ``den`` may be any common multiple.
     Either way the stage checks (``_validate``) run on the grid's ints, and
-    ``check_nested_in``, the bridge pass behind ``thickness``,
-    ``all_bridge_reports`` and ``bridge_at``, ``restrict``, ``affine_image``
-    and the gap-lemma merges all read it.  The grid is private and never
-    mutated; ``intervals`` stays the public view.
+    ``count``, ``min``, ``max``, ``interval_containing``, ``check_nested_in``,
+    the bridge pass behind ``thickness``, ``all_bridge_reports`` and
+    ``bridge_at``, ``restrict``, ``affine_image`` and the gap-lemma merges
+    all read it.  The grid is private and never mutated.
+
+    The grid is the primary form: a stage built by ``_from_grid`` without
+    its intervals builds ``intervals`` from the grid on the first read and
+    keeps it.  The public constructor, ``make_stage`` and ``stage_from_json``
+    hold their intervals from the start.  Equality, hashing, ``repr`` and
+    pickling see the same stage either way.
     """
 
     intervals: tuple[ClosedInterval, ...]
@@ -224,37 +233,61 @@ class CantorStage:
         self._validate()
 
     @classmethod
-    def _from_grid(cls, intervals: tuple[ClosedInterval, ...], grid: Grid, depth: int = 0,
-                   parent: Optional["CantorStage"] = None,
-                   allow_degenerate: bool = False) -> "CantorStage":
-        """A stage from its intervals and the grid they were computed from:
-        the grid is taken as it is, and every stage check runs on its ints."""
+    def _from_grid(cls, grid: Grid, depth: int = 0, parent: Optional["CantorStage"] = None,
+                   allow_degenerate: bool = False,
+                   intervals: Optional[tuple[ClosedInterval, ...]] = None) -> "CantorStage":
+        """A stage from the grid an operation computed: the grid is taken as
+        it is, and every stage check runs on its ints.  ``intervals``, when
+        the operation already holds them, must be the grid's endpoints;
+        otherwise they are built on first read."""
         stage = object.__new__(cls)
-        stage.__dict__.update(intervals=intervals, depth=depth, parent=parent,
-                              allow_degenerate=allow_degenerate, _grid=grid)
+        d = stage.__dict__
+        d.update(depth=depth, parent=parent, allow_degenerate=allow_degenerate, _grid=grid)
+        if intervals is not None:
+            d["intervals"] = intervals
         stage._validate()
         return stage
+
+    def __getattr__(self, name: str):
+        # Only ``intervals`` can be missing from a stage, and only from one
+        # that _from_grid built without them.
+        if name != "intervals":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, lo, hi = self._grid
+        ivs = tuple(_trusted_interval(Fraction(x, den), Fraction(y, den)) for x, y in zip(lo, hi))
+        self.__dict__["intervals"] = ivs
+        return ivs
+
+    def _interval(self, k: int) -> ClosedInterval:
+        """Interval k, from ``intervals`` once built, else from the grid."""
+        ivs = self.__dict__.get("intervals")
+        if ivs is not None:
+            return ivs[k]
+        den, lo, hi = self._grid
+        return _trusted_interval(Fraction(lo[k], den), Fraction(hi[k], den))
 
     def _validate(self) -> None:
         """The stage checks, on the grid's ints: nonempty, each interval in
         order, disjoint and increasing, no zero length unless degenerate
         stages are allowed, nonnegative depth, nested in the parent."""
-        ivs = self.intervals
-        if not ivs:
-            raise DomainError("a stage must contain at least one interval")
         _, lo, hi = self._grid
+        if not lo:
+            raise DomainError("a stage must contain at least one interval")
         k = _first_false(map(le, lo, hi))
         if k >= 0:
-            raise DomainError(f"interval endpoints out of order: {ivs[k]}")
+            raise DomainError(f"interval endpoints out of order: {self._interval(k)}")
         k = _first_false(map(lt, hi, lo[1:]))
         if k >= 0:
             raise DomainError(
-                f"stage intervals must be disjoint and increasing: {ivs[k]} then {ivs[k + 1]}"
+                "stage intervals must be disjoint and increasing: "
+                f"{self._interval(k)} then {self._interval(k + 1)}"
             )
         if not self.allow_degenerate:
             k = _first_false(map(ne, lo, hi))
             if k >= 0:
-                raise DomainError(f"zero-length interval {ivs[k]} in a non-degenerate stage")
+                raise DomainError(
+                    f"zero-length interval {self._interval(k)} in a non-degenerate stage"
+                )
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if self.parent is not None:
@@ -282,20 +315,20 @@ class CantorStage:
                 j += 1
             if j >= n or plo[j] > lo[k] or hi[k] > phi[j]:
                 raise DomainError(
-                    f"interval {self.intervals[k]} is not contained in any parent interval"
+                    f"interval {self._interval(k)} is not contained in any parent interval"
                 )
 
     @property
     def count(self) -> int:
-        return len(self.intervals)
+        return len(self._grid[1])
 
     @property
     def min(self) -> Fraction:
-        return self.intervals[0].lo
+        return self._interval(0).lo
 
     @property
     def max(self) -> Fraction:
-        return self.intervals[-1].hi
+        return self._interval(-1).hi
 
     def hull(self) -> ClosedInterval:
         return ClosedInterval(self.min, self.max)
@@ -304,18 +337,15 @@ class CantorStage:
         return self.interval_containing_point(x) is not None
 
     def _containing_index(self, piece: ClosedInterval) -> int:
-        """Binary search for the index of the interval containing ``piece``
-        entirely, or -1."""
-        ivs = self.intervals
-        lo, hi = 0, len(ivs) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if piece.lo < ivs[mid].lo:
-                hi = mid - 1
-            elif piece.lo > ivs[mid].hi:
-                lo = mid + 1
-            else:
-                return mid if piece.hi <= ivs[mid].hi else -1
+        """Index of the interval containing ``piece`` entirely, or -1: one
+        bisection on the grid for the first interval whose right end reaches
+        ``piece.lo``, cross-multiplied."""
+        den, lo, hi = self._grid
+        pn, pd = piece.lo.as_integer_ratio()
+        qn, qd = piece.hi.as_integer_ratio()
+        k = bisect_left(hi, pn * den, key=lambda x: x * pd)
+        if k < len(lo) and lo[k] * pd <= pn * den and qn * den <= hi[k] * qd:
+            return k
         return -1
 
     def interval_containing_point(self, x: Fraction) -> Optional[ClosedInterval]:
@@ -325,7 +355,7 @@ class CantorStage:
     def interval_containing(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
         """The stage interval containing ``piece`` entirely, if any."""
         k = self._containing_index(piece)
-        return self.intervals[k] if k >= 0 else None
+        return self._interval(k) if k >= 0 else None
 
     def __str__(self) -> str:
         return " ".join(str(iv) for iv in self.intervals)
@@ -359,10 +389,8 @@ def gaps(stage: CantorStage) -> list[Gap]:
 
 def bounded_gaps(stage: CantorStage) -> list[Gap]:
     """The bounded gaps in increasing order."""
-    return [
-        Gap(a.hi, b.lo, BOUNDED)
-        for a, b in zip(stage.intervals, stage.intervals[1:])
-    ]
+    ivs = stage.intervals
+    return [Gap(a.hi, b.lo, BOUNDED) for a, b in zip(ivs, ivs[1:])]
 
 
 @dataclass(frozen=True)
@@ -458,18 +486,18 @@ def _bridge_report(
     stage: CantorStage, gap_index: int, side: str, end: int
 ) -> GapBridgeReport:
     """The report for one side of a bounded gap whose bridge reaches
-    interval ``end`` (from ``_bridge_ends``).  Endpoints are the stage's own
-    Fractions; the local thickness is one ratio of grid ints."""
-    ivs = stage.intervals
+    interval ``end`` (from ``_bridge_ends``).  Endpoints are the stage's
+    intervals (``_interval``); the local thickness is one ratio of grid
+    ints."""
     _, lo, hi = stage._grid
-    gap = Gap(ivs[gap_index].hi, ivs[gap_index + 1].lo, BOUNDED)
+    gap = Gap(stage._interval(gap_index).hi, stage._interval(gap_index + 1).lo, BOUNDED)
     if side == RIGHT:
         endpoint = gap.hi
-        bridge = ClosedInterval(endpoint, ivs[end].hi)
+        bridge = ClosedInterval(endpoint, stage._interval(end).hi)
         width = hi[end] - lo[gap_index + 1]
     else:
         endpoint = gap.lo
-        bridge = ClosedInterval(ivs[end].lo, endpoint)
+        bridge = ClosedInterval(stage._interval(end).lo, endpoint)
         width = hi[gap_index] - lo[end]
     return GapBridgeReport(
         endpoint=endpoint,
@@ -497,6 +525,7 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     """Reports for both sides of every bounded gap, left to right."""
+    stage.intervals  # every endpoint is read: build them once
     left_end, right_end = _bridge_ends(*stage._grid[1:])
     reports: list[GapBridgeReport] = []
     for i in range(stage.count - 1):
@@ -555,8 +584,8 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     degenerates to a point is kept (it is honest intersection content) and
     marks the result as degenerate-permitting.  Two binary searches on the
     grid find the intervals that meet the window; only the first and last of
-    them can be clipped.  The others keep their intervals and grid ints,
-    which are rescaled only when a window endpoint is off the grid.
+    them can be clipped.  The others keep their grid ints, which are
+    rescaled only when a window endpoint is off the grid.
     """
     den, lo, hi = stage._grid
     wn, wd = window.lo.as_integer_ratio()
@@ -566,21 +595,13 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     last = bisect_right(lo, vn * den, key=lambda x: x * vd)
     if first >= last:
         raise DomainError(f"window {window} does not intersect the stage")
-    ivs = list(stage.intervals[first:last])
     common = math.lcm(den, wd, vd)
     m = common // den
     clo = [x * m for x in lo[first:last]]
     chi = [x * m for x in hi[first:last]]
-    wlo, whi = wn * (common // wd), vn * (common // vd)
-    if clo[0] < wlo:
-        clo[0] = wlo
-        ivs[0] = _trusted_interval(window.lo, ivs[0].hi)
-    if chi[-1] > whi:
-        chi[-1] = whi
-        ivs[-1] = _trusted_interval(ivs[-1].lo, window.hi)
-    return CantorStage._from_grid(
-        tuple(ivs), (common, clo, chi), stage.depth, None, any(map(eq, clo, chi))
-    )
+    clo[0] = max(clo[0], wn * (common // wd))
+    chi[-1] = min(chi[-1], vn * (common // vd))
+    return CantorStage._from_grid((common, clo, chi), stage.depth, None, any(map(eq, clo, chi)))
 
 
 def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> CantorStage:
@@ -590,10 +611,10 @@ def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> Canto
     With c_k = p_k/d_k and q = lcm(d_k), a grid endpoint X/den maps to
     N(X) / (q * den**n), where N(X) is the integer Horner scheme with
     coefficients c_k * q * den**(n - k).  The image's grid is those
-    numerators over q * den**n, reversed when the images decrease, and each
-    endpoint is normalised once.  The stage checks run on the image grid, so
-    endpoint images out of order, touching or collapsed to a point (unless
-    the stage allows that) raise DomainError.
+    numerators over q * den**n, reversed when the images decrease; its
+    intervals are built on first read.  The stage checks run on the image
+    grid, so endpoint images out of order, touching or collapsed to a point
+    (unless the stage allows that) raise DomainError.
     """
     den, lo, hi = stage._grid
     ratios = [c.as_integer_ratio() for c in coeffs]
@@ -611,9 +632,8 @@ def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> Canto
     lo, hi = horner(lo), horner(hi)
     if lo[0] > hi[-1]:
         lo, hi = hi[::-1], lo[::-1]
-    d = q * den ** n
-    ivs = tuple(_trusted_interval(Fraction(x, d), Fraction(y, d)) for x, y in zip(lo, hi))
-    return CantorStage._from_grid(ivs, (d, lo, hi), stage.depth, None, stage.allow_degenerate)
+    return CantorStage._from_grid((q * den ** n, lo, hi), stage.depth, None,
+                                  stage.allow_degenerate)
 
 
 def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:

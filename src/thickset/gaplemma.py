@@ -24,7 +24,6 @@ from .core import (
     CantorStage,
     ClosedInterval,
     Gap,
-    _trusted_interval,
     rational_str,
     thickness,
 )
@@ -150,7 +149,7 @@ def _widest(stage: CantorStage) -> ClosedInterval:
     for k in range(1, len(lo)):
         if hi[k] - lo[k] > hi[best] - lo[best]:
             best = k
-    return stage.intervals[best]
+    return stage._interval(best)
 
 
 def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]:
@@ -160,35 +159,29 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
     interval: stages overapproximate their limit sets, so a nonempty stage
     intersection is necessary evidence, not sufficient (see
     ``persistent_intersect`` for the refinement-chain version).  The merge
-    compares the two grids over one denominator; every common interval
-    reuses the inputs' endpoint Fractions, and the common stage is built on
-    the merge's own grid ints.
+    compares the two grids over one denominator, and the common stage is
+    built on the merge's own grid ints.
     """
     den = math.lcm(k1._grid[0], k2._grid[0])
     alo, ahi = k1._grid_over(den)
     blo, bhi = k2._grid_over(den)
-    a, b = k1.intervals, k2.intervals
-    out: list[ClosedInterval] = []
     starts: list[int] = []
     ends: list[int] = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        start, lo = (alo[i], a[i].lo) if alo[i] >= blo[j] else (blo[j], b[j].lo)
+    while i < len(alo) and j < len(blo):
+        start = max(alo[i], blo[j])
         if ahi[i] < bhi[j]:
-            end, hi = ahi[i], a[i].hi
+            end = ahi[i]
             i += 1
         else:
-            end, hi = bhi[j], b[j].hi
+            end = bhi[j]
             j += 1
         if start <= end:
-            out.append(_trusted_interval(lo, hi))
             starts.append(start)
             ends.append(end)
-    if not out:
+    if not starts:
         return None
-    common = CantorStage._from_grid(
-        tuple(out), (den, starts, ends), max(k1.depth, k2.depth), None, True
-    )
+    common = CantorStage._from_grid((den, starts, ends), max(k1.depth, k2.depth), None, True)
     return IntersectionWitness(common=common, sample_point=_widest(common).midpoint)
 
 

@@ -119,8 +119,7 @@ def largest_gap_frame(stage: CantorStage) -> GapFrame:
     if len(lo) < 2:
         raise DomainError("no bounded gap: cannot frame a single interval")
     i = _largest_gap(lo, hi)
-    ivs = stage.intervals
-    gap = Gap(ivs[i].hi, ivs[i + 1].lo)
+    gap = Gap(stage._interval(i).hi, stage._interval(i + 1).lo)
     return GapFrame(
         gap=gap,
         left_bridge=ClosedInterval(stage.min, gap.lo),
@@ -191,7 +190,7 @@ def subset_extract(
         )
 
     depth, stage, j = found
-    window = bridge_at(stage, stage.intervals[j].hi, LEFT).bridge
+    window = bridge_at(stage, stage._interval(j).hi, LEFT).bridge
     if window.length >= delta:
         raise InternalContradictionError(
             f"extracted bridge {window} is not shorter than delta = {delta}"
@@ -683,7 +682,7 @@ def _attempt_config(
     k = image_stages[-1]._containing_index(deepest)
     if k < 0:
         raise InternalContradictionError("deepest common interval left the image stage")
-    source_iv = source[-1].intervals[k]
+    source_iv = source[-1]._interval(k)
 
     # ft is exact; t encloses f^-1(ft), which lies inside source_iv, so the
     # clamp to source_iv keeps it nonempty and inside the t piece.

@@ -322,3 +322,30 @@ def test_find_config_has_no_precision_option(capsys):
     )
     assert code == 3
     assert "--precision" in err
+
+
+def test_depth_over_the_interval_budget_is_refused_before_refining(monkeypatch, capsys):
+    """Only depths over the budget are asked for; a refinement would fail
+    the test instead of building a huge stage."""
+
+    def refuse(*_):
+        raise AssertionError("refined a stage for a depth over the budget")
+
+    monkeypatch.setattr("thickset.constructions.RefinableFamily.stage", refuse)
+    limit = cli.INTERVAL_BUDGET.bit_length() - 1
+    assert 2 ** limit <= cli.INTERVAL_BUDGET < 2 ** (limit + 1)
+    family = ["--set-family", "middle-alpha:1/5"]
+    for depth in (limit + 1, 10 ** 12):
+        for flag, argv in (
+            ("--depth", ["construct", "--random-thick", "2", "--depth", str(depth)]),
+            ("--depth", ["construct", "--middle-alpha", "1/3", "--depth", str(depth)]),
+            ("--max-depth", ["find-3ap", *family, "--max-depth", str(depth)]),
+            ("--max-depth", ["find-config", *family, "--f", "1", "--max-depth", str(depth)]),
+            ("--max-depth", ["sweep", *family, "--slope-min", "1", "--slope-max", "2",
+                             "--max-depth", str(depth)]),
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 3 and out == ""
+            assert err == (f"error: {flag} {depth} asks for 2**{depth} intervals, over the "
+                           f"budget of {cli.INTERVAL_BUDGET} (retry with {flag} {limit} or "
+                           f"less)\n")

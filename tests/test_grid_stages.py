@@ -1,7 +1,9 @@
 """Stages built straight from integer grids, refereed by the public
 constructor and the Fraction oracles in conftest."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -20,16 +22,20 @@ from thickset import (
     bridge_at,
     intersect,
     middle_alpha_family,
+    persistent_intersect,
     random_thick_family,
     restrict,
+    thickness,
 )
-from thickset.core import _polynomial_image, _trusted_interval
+from thickset.core import _polynomial_image
 from thickset.functions import Polynomial, sign_on_interval
 from thickset.search import largest_gap_frame, subset_extract
 from conftest import (
+    brute_thickness,
     naive_middle_alpha_children,
     naive_random_thick_children,
     nesting_problem,
+    probe_points,
     random_stage,
     stage_problem,
 )
@@ -249,9 +255,8 @@ def _grid_error(pairs, scale, depth=0, parent=None, allow_degenerate=False):
     den = math.lcm(*(x.denominator for p in pairs for x in p)) * scale
     grid = (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
             [b.numerator * (den // b.denominator) for _, b in pairs])
-    ivs = tuple(_trusted_interval(a, b) for a, b in pairs)
     try:
-        stage = CantorStage._from_grid(ivs, grid, depth, parent, allow_degenerate)
+        stage = CantorStage._from_grid(grid, depth, parent, allow_degenerate)
     except DomainError as exc:
         return str(exc)
     assert_rebuilds(stage)
@@ -294,7 +299,7 @@ def test_from_grid_rejects_each_fault_with_the_public_text():
     assert text is not None and _grid_error(pairs, 1, depth=1, parent=parent) == text
     assert _grid_error([(F(0), F(1))], 1, depth=-1) == "depth must be nonnegative"
     with pytest.raises(DomainError, match="at least one interval"):
-        CantorStage._from_grid((), (1, [], []))
+        CantorStage._from_grid((1, [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +435,126 @@ def test_subset_extract_reach_bound_is_exclusive(alpha, delta):
     family = middle_alpha_family(alpha)
     sub = subset_extract(family, delta, max_scan_depth=12)
     assert (sub.window, sub.depth_offset) == _fraction_extract_window(family, delta, 12)
+
+
+# ---------------------------------------------------------------------------
+# grid-built stages answer sparse reads before building ``intervals``
+# ---------------------------------------------------------------------------
+
+def _eager(stage: CantorStage) -> CantorStage:
+    """The public constructor's stage of a grid-built stage's endpoints,
+    read from the grid so that ``stage.intervals`` stays unbuilt."""
+    den, lo, hi = stage._grid
+    ivs = tuple(ClosedInterval(F(x, den), F(y, den)) for x, y in zip(lo, hi))
+    return CantorStage(ivs, depth=stage.depth, allow_degenerate=stage.allow_degenerate)
+
+
+def _is_lazy(stage: CantorStage) -> bool:
+    return "intervals" not in stage.__dict__
+
+
+def _rescaled(stage: CantorStage, m: int) -> CantorStage:
+    """The same stage over a grid denominator m times larger."""
+    den, lo, hi = stage._grid
+    return CantorStage._from_grid((den * m, [x * m for x in lo], [x * m for x in hi]),
+                                  stage.depth, None, stage.allow_degenerate)
+
+
+@st.composite
+def _lazy_stages(draw):
+    """A fresh stage from restrict, affine_image, _polynomial_image or
+    intersect, sometimes over a non-minimal grid denominator."""
+    kind = draw(st.sampled_from(["restrict", "affine", "polynomial", "intersect"]))
+    seed, tau = draw(st.integers(0, 200)), draw(_taus)
+    if kind == "restrict":
+        stage = random_stage(seed, tau=tau, depth=draw(st.integers(1, 7)))
+        a, b = sorted(draw(st.tuples(st.integers(0, 1024), st.integers(0, 1024))))
+        offset = draw(st.sampled_from([F(0), F(1, 7), F(1, 2 ** 40)]))
+        window = ClosedInterval(F(a, 1024) + offset, F(b, 1024) + offset)
+        assume(any(iv.intersection(window) for iv in stage.intervals))
+        stage = restrict(stage, window)
+    elif kind == "affine":
+        stage = affine_image(random_stage(seed, tau=tau, depth=draw(st.integers(1, 7))),
+                             draw(_scales), draw(_shifts))
+    elif kind == "polynomial":
+        source, coeffs = draw(_image_sources()), draw(_coeff_lists)
+        assume(sign_on_interval(Polynomial(coeffs).derivative(), source.hull()) is not None)
+        stage = _polynomial_image(source, coeffs)
+    else:
+        depth = draw(st.integers(1, 6))
+        f1 = random_thick_family(RandomThickSpec(tau, 0, seed))
+        f2 = AffineFamily(random_thick_family(RandomThickSpec(draw(_taus), 0, seed + 1)),
+                          F(1), F(draw(st.integers(1, 200)), 1024))
+        w = intersect(f1.stage(depth), f2.stage(depth))
+        assume(w is not None)
+        stage = w.common
+    m = draw(st.sampled_from([1, 1, 6, 2 ** 40]))
+    return stage if m == 1 else _rescaled(stage, m)
+
+
+def _scan_containing(ivs, piece):
+    return next((iv for iv in ivs if iv.contains_interval(piece)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lazy_stages(), st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                                max_size=30))
+def test_sparse_reads_match_a_scan_before_intervals_are_built(stage, picks):
+    """Pieces are the stage's endpoints, gap and interval midpoints and
+    points beyond the hull, as points and as random spans between them
+    (which straddle gaps, touch endpoints or leave the hull)."""
+    assert _is_lazy(stage)
+    eager = _eager(stage)
+    ivs = eager.intervals
+    assert stage.count == len(ivs)
+    assert (stage.min, stage.max) == (ivs[0].lo, ivs[-1].hi)
+    points = probe_points(eager)
+    spans = [sorted((points[i % len(points)], points[j % len(points)])) for i, j in picks]
+    for lo, hi in [(x, x) for x in points] + spans:
+        piece = ClosedInterval(lo, hi)
+        assert stage.interval_containing(piece) == _scan_containing(ivs, piece)
+        if lo == hi:
+            assert stage.interval_containing_point(lo) == _scan_containing(ivs, piece)
+    if stage.count >= 2:
+        result = thickness(stage)
+        assert result == thickness(eager)
+        if stage.count <= 16:
+            assert result.value == brute_thickness(eager)
+        assert largest_gap_frame(stage) == largest_gap_frame(eager)
+    assert _is_lazy(stage)
+    assert stage == eager and stage.intervals == ivs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_taus, _taus, st.integers(0, 2 ** 32), st.integers(0, 2 ** 32),
+       st.integers(1, 200), _scales)
+def test_persistent_intersect_without_check_leaves_intervals_unbuilt(
+        tau1, tau2, seed1, seed2, k, scale):
+    """Chains of affine images, as find_config passes them, and the common
+    stages the intersection builds.  The second chain is shifted by at most
+    a fifth of the common hull length, so the hulls overlap and neither
+    lies in a gap of the other: the gap lemma makes every depth intersect."""
+    f1 = random_thick_family(RandomThickSpec(tau1, 0, seed1))
+    f2 = random_thick_family(RandomThickSpec(tau2, 0, seed2))
+    k1 = [affine_image(s, scale, F(0)) for s in f1.stages(1, 6)]
+    k2 = [affine_image(s, scale, abs(scale) * F(k, 1024)) for s in f2.stages(1, 6)]
+    w = persistent_intersect(k1, k2, check=False)
+    assert all(map(_is_lazy, k1 + k2)) and _is_lazy(w.common)
+    expected = persistent_intersect([_eager(s) for s in k1], [_eager(s) for s in k2],
+                                    check=False)
+    assert w.to_json() == expected.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lazy_stages())
+def test_lazy_stages_compare_hash_and_copy_like_their_eager_rebuild(stage):
+    eager = _eager(stage)
+    copies = [pickle.loads(pickle.dumps(stage)), copy.deepcopy(stage)]
+    assert all(map(_is_lazy, copies))
+    for other in [*copies, stage]:
+        assert other._grid == stage._grid
+        assert other == eager and eager == other
+        assert hash(other) == hash(eager)
+        assert other.intervals == eager.intervals
+    assert getattr(stage, "no_such_attribute", None) is None
+
