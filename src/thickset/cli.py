@@ -6,7 +6,7 @@ find-config, counterexample, verify-counterexample, render, sweep.
 Exit codes: 0 success, 1 hypothesis violations (the named mathematical
 condition the inputs fail), 2 internal contradictions (certified facts that
 cannot fail under validated preconditions; report these as bugs), 3 usage,
-parse, and domain errors.
+parse, and domain errors, and output closed early (a broken pipe).
 
 Rationals cross the CLI boundary as lowest-terms 'p/q' strings, never
 floats.
@@ -20,6 +20,7 @@ the ``--max-depth`` of find-3ap, find-config and sweep are checked against
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -424,7 +425,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.verb:
             parser.print_usage(sys.stderr)
             return USAGE_EXIT
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        # Output that fits the buffer meets a closed pipe only here.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, or the flush at interpreter exit
+        # meets the closed pipe again (a stdout with no descriptor has none).
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print("error: output closed early (broken pipe)", file=sys.stderr)
+        return USAGE_EXIT
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

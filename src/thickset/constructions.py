@@ -29,6 +29,7 @@ from .core import (
     ClosedInterval,
     Gap,
     RationalLike,
+    _endpoint_index,
     _trusted_interval,
     affine_image,
     restrict,
@@ -193,11 +194,11 @@ class RestrictedFamily(StageFamily):
         if refiner is not None and depth_offset >= 0:
             offset_stage = base.stage(depth_offset)
             root = restrict(offset_stage, window)
-            aligned = all(
-                offset_stage.interval_containing_point(iv.lo) == iv
-                for iv in root.intervals
-            )
-            if aligned:
+            # restrict clips only its first and last interval, so the window
+            # spans whole intervals exactly when the restriction starts at an
+            # interval start and ends at an interval end.
+            den, lo, hi = offset_stage._grid
+            if _endpoint_index(lo, den, root.min) >= 0 and _endpoint_index(hi, den, root.max) >= 0:
                 self._local = RefinableFamily(_at_depth(root, 0), refiner)
                 self._local._depth_shift = offset_stage.depth
 
@@ -379,25 +380,29 @@ def random_thick(spec: RandomThickSpec, base: Optional[ClosedInterval] = None) -
 # The square-configuration counterexample set
 # ---------------------------------------------------------------------------
 
+def _proportions(tau: Fraction) -> tuple[Fraction, Fraction]:
+    """The gap and flank proportions (alpha, beta) = (1/(2 tau + 1),
+    tau/(2 tau + 1)) that produce thickness tau: 2 beta + alpha = 1 and
+    beta/alpha = tau."""
+    return 1 / (2 * tau + 1), tau / (2 * tau + 1)
+
+
 @dataclass(frozen=True)
 class CounterexampleParams:
     """Parameters of the five-interval avoidance set.
 
-    alpha and beta are the gap and flank proportions producing thickness
-    tau: alpha = 1/(2 tau + 1), beta = tau/(2 tau + 1), so 2 beta + alpha = 1
-    and beta/alpha = tau.  tau = 1 is accepted for the construction itself
-    (it is the reference point of the length table); calibration requires
+    ``alpha`` and ``beta`` are the gap and flank proportions that tau fixes
+    (``_proportions``).  tau = 1 is accepted for the construction itself (it
+    is the reference point of the length table); calibration requires
     tau > 1 strictly.
     """
 
     tau: Fraction
     eps: Fraction
     c: Fraction
-    alpha: Fraction
-    beta: Fraction
 
     def __post_init__(self):
-        for name in ("tau", "eps", "c", "alpha", "beta"):
+        for name in ("tau", "eps", "c"):
             object.__setattr__(self, name, to_rational(getattr(self, name)))
         if self.tau < 1:
             raise DomainError(f"tau must be at least 1, got {self.tau}")
@@ -405,23 +410,20 @@ class CounterexampleParams:
             raise DomainError(f"eps must be positive, got {self.eps}")
         if not 0 < self.c < 1:
             raise DomainError(f"c must lie in (0, 1), got {self.c}")
-        if self.alpha != 1 / (2 * self.tau + 1):
-            raise DomainError("alpha must equal 1/(2*tau + 1)")
-        if self.beta != self.tau / (2 * self.tau + 1):
-            raise DomainError("beta must equal tau/(2*tau + 1)")
+
+    @property
+    def alpha(self) -> Fraction:
+        return _proportions(self.tau)[0]
+
+    @property
+    def beta(self) -> Fraction:
+        return _proportions(self.tau)[1]
 
 
 def make_counterexample_params(
     tau: RationalLike, eps: RationalLike, c: RationalLike
 ) -> CounterexampleParams:
-    tau = to_rational(tau)
-    return CounterexampleParams(
-        tau=tau,
-        eps=to_rational(eps),
-        c=to_rational(c),
-        alpha=Fraction(1, 1) / (2 * tau + 1),
-        beta=tau / (2 * tau + 1),
-    )
+    return CounterexampleParams(tau=tau, eps=eps, c=c)
 
 
 def counterexample_parts(params: CounterexampleParams) -> dict:
@@ -480,14 +482,17 @@ def counterexample_set(params: CounterexampleParams) -> CantorStage:
     )
 
 
+# counterexample_calibrate probes c = 1 - (1 - floor)/2**k for k up to this.
+_CALIBRATION_PROBES = 64
+
+
 def counterexample_limit_ratio(tau: RationalLike) -> Fraction:
     """Minimum, over the c-dependent gap endpoints, of the bridge/gap ratio
     in the c -> 1 limit.  Calibration to thickness tau is possible only if
     this exceeds tau; it decays quickly, which is why only tau close to 1 is
     reachable."""
     tau = to_rational(tau)
-    alpha = Fraction(1, 1) / (2 * tau + 1)
-    beta = tau / (2 * tau + 1)
+    alpha, beta = _proportions(tau)
     bt, at = beta * tau, alpha * tau
     r3_left = Fraction(1, 1) / ((1 + bt) ** 2 - 1)
     r3_right = ((1 + bt + at) ** 2 - (1 + bt) ** 2) / ((1 + bt) ** 2 - 1)
@@ -496,10 +501,7 @@ def counterexample_limit_ratio(tau: RationalLike) -> Fraction:
 
 
 def counterexample_calibrate(
-    tau: RationalLike,
-    eps: RationalLike,
-    tol: RationalLike,
-    max_probes: int = 64,
+    tau: RationalLike, eps: RationalLike, tol: RationalLike
 ) -> CounterexampleParams:
     """Search c in (0, 1) so the set's exact thickness lands in
     [tau - tol, tau].
@@ -507,8 +509,8 @@ def counterexample_calibrate(
     The thickness is nondecreasing in c and capped at tau (several bridge
     ratios equal tau for every c), so probing c = 1 - (1 - floor)/2**k and
     stopping at the first success is a binary search toward 1.  Failure
-    after ``max_probes`` probes, or a limiting ratio below the target, means
-    the requested tau is out of the construction's reach.
+    after ``_CALIBRATION_PROBES`` probes, or a limiting ratio below the
+    target, means the requested tau is out of the construction's reach.
     """
     tau = to_rational(tau)
     eps = to_rational(eps)
@@ -525,14 +527,14 @@ def counterexample_calibrate(
             f"calibrates for tau below that ratio"
         )
     # c must keep I4 and I5 nonempty.
-    bt = tau * tau / (2 * tau + 1)
-    at = tau / (2 * tau + 1)
+    alpha, beta = _proportions(tau)
+    bt, at = beta * tau, alpha * tau
     c_floor = max((1 + bt) / (1 + bt + at), eps * (1 + tau) ** 2 / tau, Fraction(1, 2))
     if c_floor >= 1:
         raise CalibrationError(
             f"eps = {eps} is too large: the rightmost piece is empty for every c < 1"
         )
-    for k in range(1, max_probes + 1):
+    for k in range(1, _CALIBRATION_PROBES + 1):
         c = 1 - (1 - c_floor) / 2 ** k
         try:
             params = make_counterexample_params(tau, eps, c)
@@ -543,5 +545,5 @@ def counterexample_calibrate(
             return params
     raise CalibrationError(
         f"no probed c reached thickness within {tol} of {tau} "
-        f"after {max_probes} probes toward c = 1"
+        f"after {_CALIBRATION_PROBES} probes toward c = 1"
     )

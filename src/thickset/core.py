@@ -24,12 +24,13 @@ denominator, the lcm of the endpoint denominators for a stage built from
 intervals, any common multiple for a stage that ``restrict``, a polynomial
 image (affine or the search's map f), the gap-lemma merge or a built-in
 refiner builds straight from the grid it computed.  Stage validation, the
-nesting check, bridges, thickness and the point and piece lookups read the
-grid, so they compare and subtract ints instead of walking ``Fraction``
-chains.  A grid-built stage normalises its endpoints into ``intervals``
-only on the first read of that attribute, each endpoint once by
-``Fraction(numerator, denominator)``; the search's internal stages, whose
-output is a witness, never build most of them.
+nesting check, bridges, thickness, the point and piece lookups and the
+endpoint locator ``_endpoint_index`` read the grid, so they compare and
+subtract ints instead of walking ``Fraction`` chains.  A grid-built stage
+normalises its endpoints into ``intervals`` only on the first read of that
+attribute, each endpoint once by ``Fraction(numerator, denominator)``; the
+search's internal stages, whose output is a witness, never build most of
+them.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ class CantorStage:
     ``count``, ``min``, ``max``, ``interval_containing``, ``check_nested_in``,
     the bridge pass behind ``thickness``, ``all_bridge_reports`` and
     ``bridge_at``, ``restrict``, ``affine_image`` and the gap-lemma merges
-    all read it.  The grid is private and never mutated.
+    all read it, as does ``_endpoint_index``, which finds ``bridge_at``'s gap
+    and tells ``subset_extract`` and ``RestrictedFamily`` whether a window's
+    ends are interval endpoints.  The grid is private and never mutated.
 
     The grid is the primary form: a stage built by ``_from_grid`` without
     its intervals builds ``intervals`` from the grid on the first read and
@@ -418,37 +421,12 @@ class GapBridgeReport:
         }
 
 
-def _gap_index_for_endpoint(stage: CantorStage, endpoint: Fraction, side: str) -> int:
-    """Index i such that the bounded gap between interval i and i+1 has the
-    given endpoint on the given side.  Binary search: interval endpoints are
-    strictly increasing."""
-    ivs = stage.intervals
-    if side == RIGHT:
-        # endpoint is the gap's right endpoint = lo of the interval right of it
-        lo, hi = 1, len(ivs) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if ivs[mid].lo < endpoint:
-                lo = mid + 1
-            elif ivs[mid].lo > endpoint:
-                hi = mid - 1
-            else:
-                return mid - 1
-    elif side == LEFT:
-        lo, hi = 0, len(ivs) - 2
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if ivs[mid].hi < endpoint:
-                lo = mid + 1
-            elif ivs[mid].hi > endpoint:
-                hi = mid - 1
-            else:
-                return mid
-    else:
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    raise DomainError(
-        f"{endpoint} is not the {side} endpoint of any bounded gap of the stage"
-    )
+def _endpoint_index(ends: list[int], den: int, value: Fraction) -> int:
+    """Index of ``value`` among the strictly increasing grid ``ends`` over
+    ``den``, or -1: one bisection, cross-multiplied."""
+    n, d = value.as_integer_ratio()
+    k = bisect_left(ends, n * den, key=lambda x: x * d)
+    return k if k < len(ends) and ends[k] * d == n * den else -1
 
 
 def _bridge_ends(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
@@ -513,12 +491,24 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
 
     The bridge extends away from the gap across every bounded gap of length
     at most the reference gap's, stopping at the first strictly longer gap or
-    at the extreme point of the stage.  It comes from the next-longer-gap
-    pass over the stage's grid: O(n) integer operations.
+    at the extreme point of the stage.  One bisection on the grid locates
+    the gap and the next-longer-gap pass gives the bridge: O(n) integer
+    operations.
     """
     endpoint = to_rational(endpoint)
-    i = _gap_index_for_endpoint(stage, endpoint, side)
-    left_end, right_end = _bridge_ends(*stage._grid[1:])
+    den, lo, hi = stage._grid
+    # Bounded gap i runs from hi[i] to lo[i + 1].
+    if side == LEFT:
+        i = _endpoint_index(hi[:-1], den, endpoint)
+    elif side == RIGHT:
+        i = _endpoint_index(lo[1:], den, endpoint)
+    else:
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    if i < 0:
+        raise DomainError(
+            f"{endpoint} is not the {side} endpoint of any bounded gap of the stage"
+        )
+    left_end, right_end = _bridge_ends(lo, hi)
     end = left_end[i] if side == LEFT else right_end[i]
     return _bridge_report(stage, i, side, end)
 

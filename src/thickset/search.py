@@ -30,7 +30,7 @@ Every witness carries nested membership chains and replays independently via
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -48,6 +48,7 @@ from .core import (
     ClosedInterval,
     Gap,
     RationalLike,
+    _endpoint_index,
     _polynomial_image,
     affine_image,
     bridge_at,
@@ -66,7 +67,6 @@ from .errors import (
 from .functions import (
     FunctionSpec,
     MonotoneBracket,
-    derivative_ratio_bound,
     derivative_window,
     eval_function,
     monotone_inverse,
@@ -82,6 +82,9 @@ _DELTA_HALVINGS = 40
 # find_config gates a family that certifies no thickness bound on its
 # thickness floor over depths 1..CONFIG_GATE_DEPTH.
 CONFIG_GATE_DEPTH = 4
+# subset_extract asserts thickness preservation exactly on this many
+# refinement levels below the extracted bridge (and on the bridge itself).
+_VERIFIED_LEVELS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +131,6 @@ def largest_gap_frame(stage: CantorStage) -> GapFrame:
     )
 
 
-def _is_endpoint(ends: list[int], den: int, value: Fraction) -> bool:
-    """Whether ``value`` is one of the grid ``ends`` over ``den``: one
-    bisection, cross-multiplied."""
-    n, d = value.as_integer_ratio()
-    k = bisect_left(ends, n * den, key=lambda x: x * d)
-    return k < len(ends) and ends[k] * d == n * den
-
-
 # ---------------------------------------------------------------------------
 # Small-diameter subset extraction
 # ---------------------------------------------------------------------------
@@ -143,8 +138,9 @@ def _is_endpoint(ends: list[int], den: int, value: Fraction) -> bool:
 def subset_extract(
     family: StageFamily,
     delta: RationalLike,
-    max_scan_depth: int = 48,
-    verify_levels: int = 4,
+    # Each depth scanned builds a whole family stage of up to 2**depth
+    # intervals: 16 is the deepest the CLI's INTERVAL_BUDGET (2**16) allows.
+    max_scan_depth: int = 16,
 ) -> RestrictedFamily:
     """Restrict a family to a bridge of hull width below delta, keeping
     thickness.
@@ -155,7 +151,8 @@ def subset_extract(
     that gap.  The returned family is re-indexed to start at the first depth
     where both window endpoints are interval endpoints, so that every
     returned stage is a genuine bridge restriction; per-level thickness
-    preservation is asserted exactly for the first ``verify_levels`` levels.
+    preservation is asserted exactly for the first ``_VERIFIED_LEVELS``
+    levels.
     """
     delta = to_rational(delta)
     if delta <= 0:
@@ -201,14 +198,14 @@ def subset_extract(
     base = None
     for d in range(1, depth + 1):
         den, lo, hi = family.stage(d)._grid
-        if _is_endpoint(lo, den, window.lo) and _is_endpoint(hi, den, window.hi):
+        if _endpoint_index(lo, den, window.lo) >= 0 and _endpoint_index(hi, den, window.hi) >= 0:
             base = d
             break
     if base is None:
         raise InternalContradictionError("bridge endpoints never align with stage intervals")
 
     sub = RestrictedFamily(family, window, depth_offset=base)
-    for level in range(verify_levels + 1):
+    for level in range(_VERIFIED_LEVELS + 1):
         piece = sub.stage(level)
         if piece.count < 2:
             continue
@@ -517,10 +514,12 @@ class _RetryDelta(Exception):
 def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fraction) -> bool:
     """Derivative conditions on the symmetric box of radius tau*delta:
 
-    the range of f' (and hence of its reciprocal, the inverse derivative)
-    must sit strictly inside the slope window, both derivative deviations
-    from their values at zero must stay below eps/(2*tau), and the overall
-    derivative ratio deviation must stay below eps."""
+    the range [m, M] of f' (and hence of its reciprocal, the inverse
+    derivative) must sit strictly inside the slope window, both derivative
+    deviations from their values at zero must stay below eps/(2*tau), and
+    the overall derivative ratio deviation M/m - 1 must stay below eps.
+    Past the window check m > 0, so M/m - 1 is the value
+    ``derivative_ratio_bound`` certifies on the box."""
     box = ClosedInterval(-tau * delta, tau * delta)
     bounds = range_bounds(f.polynomial().derivative(), box)
     m, M = bounds.lo, bounds.hi
@@ -533,12 +532,7 @@ def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fracti
         return False
     if max(1 / m - 1 / slope, 1 / slope - 1 / M) >= budget:
         return False
-    try:
-        if derivative_ratio_bound(f, box) >= eps:
-            return False
-    except DomainError:
-        return False
-    return True
+    return M / m - 1 < eps
 
 
 def _shrink_centered(piece: ClosedInterval, width: Fraction) -> ClosedInterval:
@@ -768,16 +762,16 @@ def verify_mvt_bounds(
     right_reach: RationalLike,
     tau: RationalLike,
     g: FunctionSpec,
-    bracket: Optional[ClosedInterval] = None,
 ) -> MvtBoundsReport:
     """Check 0 < gap_width < g(right_reach) < left_reach, reporting every
     hypothesis and both conclusion inequalities separately (violations are
-    reported, never thrown)."""
+    reported, never thrown).  The derivative window is checked on the right
+    bridge [0, right_reach]."""
     a = to_rational(gap_width)
     b = to_rational(left_reach)
     c = to_rational(right_reach)
     tau = to_rational(tau)
-    window = bracket if bracket is not None else ClosedInterval(Fraction(0), max(c, Fraction(0)))
+    window = ClosedInterval(Fraction(0), max(c, Fraction(0)))
 
     hypotheses = {
         "positive_lengths": a > 0 and b > 0 and c > 0,
@@ -788,7 +782,7 @@ def verify_mvt_bounds(
         "derivative_window_lower": False,
         "derivative_window_upper": False,
     }
-    if tau > 1 and window.length >= 0:
+    if tau > 1:
         bounds = range_bounds(g.polynomial().derivative(), window)
         hypotheses["derivative_window_lower"] = bounds.lo > 1 / tau
         hypotheses["derivative_window_upper"] = bounds.hi < 1 + 1 / tau

@@ -2,10 +2,15 @@
 
 import concurrent.futures
 import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+
+import pytest
 
 from thickset import cli
 from thickset.cli import main
@@ -349,3 +354,65 @@ def test_depth_over_the_interval_budget_is_refused_before_refining(monkeypatch, 
             assert err == (f"error: {flag} {depth} asks for 2**{depth} intervals, over the "
                            f"budget of {cli.INTERVAL_BUDGET} (retry with {flag} {limit} or "
                            f"less)\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing, or only flushing, raises."""
+
+    def __init__(self, on):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+def test_output_closed_early_is_exit_3(tmp_path, capsys, monkeypatch, on):
+    """Long output meets the closed pipe in a write, output that fits the
+    buffer only in the flush."""
+    stage_file = tmp_path / "k.json"
+    run(["construct", "--middle-alpha", "1/3", "--depth", "4", "--out", str(stage_file)], capsys)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(on))
+    code = main(["bridges", str(stage_file)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: output closed early (broken pipe)\n"
+
+
+@pytest.mark.parametrize("verb", [["bridges"], ["thickness", "--json"]])
+def test_output_closed_early_through_a_real_pipe(tmp_path, capsys, verb):
+    """A pipe whose reader is gone before the command starts: the ~450 kB
+    bridge report meets it in a write, the short thickness report in the
+    flush, and neither prints a traceback, not even from the exit flush."""
+    stage_file = tmp_path / "k.json"
+    run(["construct", "--random-thick", "2", "--depth", "8", "--seed", "1",
+         "--out", str(stage_file)], capsys)
+    # Buffered stdout, the default: short output reaches the pipe only in the flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "thickset.cli", *verb, str(stage_file)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == "error: output closed early (broken pipe)\n"
+
+
+def test_find_config_tiny_delta_stops_at_the_scan_limit(capsys):
+    """subset_extract scans as deep as the interval budget allows, then
+    gives up (a scan to depth 23 would not finish)."""
+    limit = cli.INTERVAL_BUDGET.bit_length() - 1
+    code, out, err = run(["find-config", "--set-family", "middle-alpha:1/5", "--f", "1",
+                          "--delta", "1/1000000000", "--max-depth", "4"], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"error: no gap suitable for extraction within 1/1000000000 of the largest "
+                   f"gap up to depth {limit} (retry with depth >= {limit + 1})\n")

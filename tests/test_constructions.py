@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thickset import (
@@ -29,6 +29,8 @@ from conftest import (
     brute_thickness,
     naive_middle_alpha_children,
     naive_random_thick_children,
+    probe_points,
+    thin_below_family,
 )
 
 EPS = F(1, 1000)
@@ -148,6 +150,8 @@ def test_counterexample_order_violations_named():
 def test_counterexample_params_validation():
     with pytest.raises(DomainError):
         make_counterexample_params(F(9, 10), EPS, F(99, 100))  # tau < 1
+    with pytest.raises(DomainError, match="tau must be at least 1"):
+        make_counterexample_params(F(-1, 2), EPS, F(1, 2))  # 2 tau + 1 = 0
     with pytest.raises(DomainError):
         make_counterexample_params(F(101, 100), F(0), F(99, 100))
     with pytest.raises(DomainError):
@@ -284,6 +288,43 @@ def test_restricted_family_localization_matches_delegation():
     for level in range(5):
         direct = restrict(fam.stage(1 + level), window)
         assert local.stage(level).intervals == direct.intervals
+
+
+_restricted_families = st.one_of(
+    st.builds(lambda a, base: middle_alpha_family(a, base),
+              st.builds(F, st.integers(1, 9), st.just(10)), _bases),
+    st.builds(lambda tau, seed, base: random_thick_family(RandomThickSpec(tau, 0, seed), base),
+              st.sampled_from([F(1), F(3, 2), F(3)]), st.integers(0, 2 ** 32), _bases),
+    st.builds(thin_below_family, st.integers(1, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_restricted_families, st.integers(0, 3), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_restricted_family_goes_local_exactly_when_the_window_spans_whole_intervals(
+        family, offset, i, j):
+    """Window ends at the offset stage's endpoints, inside its gaps and
+    intervals, beyond its hull, and at an interval's far end, where the
+    restriction clips that interval to a point."""
+    host_stage = family.stage(offset)
+    points = probe_points(host_stage)
+    a, b = sorted((points[i % len(points)], points[j % len(points)]))
+    clipped = [(max(iv.lo, a), min(iv.hi, b)) for iv in host_stage.intervals
+               if iv.lo <= b and a <= iv.hi]
+    assume(clipped)
+    hosts = [next((iv.lo, iv.hi) for iv in host_stage.intervals if iv.lo <= lo and hi <= iv.hi)
+             for lo, hi in clipped]
+    window = ClosedInterval(a, b)
+    sub = RestrictedFamily(family, window, depth_offset=offset)
+    assert (sub._local is not None) == (clipped == hosts)
+    for level in range(3):
+        try:
+            direct = restrict(family.stage(offset + level), window)
+        except DomainError:  # a point window that a deeper gap swallows
+            with pytest.raises(DomainError):
+                sub.stage(level)
+            continue
+        assert sub.stage(level).intervals == direct.intervals
 
 
 def test_interval_chain_walkdown_matches_stages():

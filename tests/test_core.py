@@ -141,7 +141,8 @@ def test_thickness_tie_break_leftmost_left_side():
 def _stages(draw):
     """Small stages over a common denominator with few distinct gap lengths
     (so bridges tie and chain), zero-length intervals, and optionally a
-    restriction window or an affine image with either sign of scale."""
+    restriction window or an affine image with either sign of scale, whose
+    grid is sometimes rescaled to a non-minimal denominator."""
     den = draw(st.sampled_from([1, 2, 3, 7, 12, 1024]))
     n = draw(st.integers(2, 12))
     widths = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -161,6 +162,11 @@ def _stages(draw):
     elif shape == "affine":
         num = draw(st.integers(-5, 5).filter(bool))
         stage = affine_image(stage, F(num, draw(st.integers(1, 5))), F(draw(st.integers(-9, 9)), 7))
+    m = draw(st.sampled_from([1, 6, 2 ** 40]))
+    if shape != "plain" and m > 1:
+        den, lo, hi = stage._grid
+        stage = CantorStage._from_grid((den * m, [x * m for x in lo], [x * m for x in hi]),
+                                       stage.depth, None, stage.allow_degenerate)
     assume(stage.count >= 2)
     return stage
 
@@ -186,12 +192,33 @@ def test_thickness_and_argmin_against_brute_oracle(stage):
     assert argmin.local_thickness == value
 
 
+def _bridge_or_text(stage, x, side):
+    try:
+        return bridge_at(stage, x, side)
+    except DomainError as exc:
+        return str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_stages())
 def test_bridge_reports_against_brute_oracle(stage):
+    # bridge_at answers first, while a grid-built stage has not built its
+    # intervals.  Every gap endpoint is probed on both sides, with the gap
+    # midpoints, both hull ends and a point beyond each.
+    den, lo, hi = stage._grid
+    probes = [F(x, den) for x in hi[:-1] + lo[1:]]
+    probes += [F(a + b, 2 * den) for a, b in zip(hi, lo[1:])]
+    probes += [F(lo[0], den), F(hi[-1], den), F(lo[0], den) - 1, F(hi[-1], den) + 1]
+    answers = {(x, side): _bridge_or_text(stage, x, side)
+               for x in probes for side in ("left", "right")}
+    assert _bridge_or_text(stage, probes[0], "up") == "side must be 'left' or 'right', got 'up'"
     reports = all_bridge_reports(stage)
     assert len(reports) == 2 * (stage.count - 1)
     ivs = stage.intervals
+    ends = {"left": {iv.hi for iv in ivs[:-1]}, "right": {iv.lo for iv in ivs[1:]}}
+    for (x, side), answer in answers.items():
+        if x not in ends[side]:
+            assert answer == f"{x} is not the {side} endpoint of any bounded gap of the stage"
     for k, report in enumerate(reports):
         i, side = divmod(k, 2)
         side = ("left", "right")[side]
@@ -203,7 +230,7 @@ def test_bridge_reports_against_brute_oracle(stage):
             assert report.bridge.hi == report.endpoint == ivs[i].hi
         else:
             assert report.bridge.lo == report.endpoint == ivs[i + 1].lo
-        assert bridge_at(stage, report.endpoint, side) == report
+        assert answers[report.endpoint, side] == report
 
 
 def test_restrict_examples():

@@ -14,6 +14,7 @@ from thickset import (
     ClosedInterval,
     ConfigWitness,
     ConstructionError,
+    DomainError,
     FunctionSpec,
     HypothesisError,
     RandomThickSpec,
@@ -21,6 +22,8 @@ from thickset import (
     SearchConfig,
     counterexample_calibrate,
     counterexample_parts,
+    derivative_ratio_bound,
+    derivative_window,
     find_3ap,
     find_config,
     largest_gap_frame,
@@ -36,7 +39,8 @@ from thickset import (
     verify_witness,
 )
 from thickset.errors import InsufficientDepthError
-from thickset.search import avoidance_checks, config_gate_thickness
+from thickset.functions import range_bounds
+from thickset.search import _validate_delta, avoidance_checks, config_gate_thickness
 from conftest import in_middle_thirds, thin_below_family
 
 GENTLE = FunctionSpec((F(1), F(1, 10)))
@@ -264,6 +268,41 @@ def test_find_config_validates_rho():
     fam = middle_alpha_family(F(1, 5))
     with pytest.raises(Exception, match="rho"):
         find_config(fam, GENTLE, SearchConfig(rho=F(1, 4), max_depth=6))
+
+
+def _four_condition_rule(f, tau, delta, eps):
+    """The delta gate from the public routines: f' inside the slope window
+    on the box of radius tau*delta, both deviations from f'(0) below
+    eps/(2 tau), and the certified derivative ratio bound below eps."""
+    box = ClosedInterval(-tau * delta, tau * delta)
+    bounds = range_bounds(f.polynomial().derivative(), box)
+    m, M = bounds.lo, bounds.hi
+    window = derivative_window(tau)
+    slope, budget = f.slope_at_zero, eps / (2 * tau)
+    if not (window.lower < m and M < window.upper):
+        return False
+    if max(M - slope, slope - m) >= budget:
+        return False
+    if max(1 / m - 1 / slope, 1 / slope - 1 / M) >= budget:
+        return False
+    try:
+        return derivative_ratio_bound(f, box) < eps
+    except DomainError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(F, st.integers(60, 140), st.just(100)),
+    st.lists(st.builds(F, st.integers(-20, 20), st.sampled_from([1, 10, 100])), max_size=2),
+    st.builds(F, st.integers(11, 50), st.just(10)),
+    st.integers(0, 24),
+    st.builds(F, st.integers(1, 100), st.just(200)),
+)
+def test_validate_delta_matches_the_four_condition_rule(slope, higher, tau, k, eps):
+    f = FunctionSpec((slope, *higher))
+    delta = F(1, 2 ** k)
+    assert _validate_delta(f, tau, delta, eps) == _four_condition_rule(f, tau, delta, eps)
 
 
 def test_family_thickness_bounds():
