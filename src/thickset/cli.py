@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -48,6 +49,7 @@ from .core import (
 from .errors import (
     DomainError,
     HypothesisError,
+    InsufficientDepthError,
     InternalContradictionError,
     ThicksetError,
 )
@@ -75,6 +77,12 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # --help has printed into stdout's buffer: flush it here, inside
+        # main, where a closed pipe is exit 3 like every other verb.
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _fraction(text: str) -> Fraction:
@@ -131,6 +139,7 @@ def _parse_family(spec: str) -> StageFamily:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thickset", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
@@ -278,7 +287,11 @@ def _cmd_find_config(args) -> int:
     family = _parse_family(args.set_family)
     f = FunctionSpec.parse(args.f)
     cfg = SearchConfig(rho=args.rho, delta=args.delta, max_depth=args.max_depth)
-    result = find_config(family, f, cfg)
+    try:
+        result = find_config(family, f, cfg)
+    except InsufficientDepthError as exc:
+        # The scan already stops at the interval budget: the lever left is delta.
+        raise DomainError(f"{exc.reason} (retry with a larger --delta)") from exc
     print(
         f"thickness {rational_str(result.tau)}, rho*tau {rational_str(result.rho_tau)}, "
         f"min image thickness {rational_str(result.image_thickness_min)}, "

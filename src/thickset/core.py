@@ -21,22 +21,24 @@ Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
 guarantees lowest terms and a positive denominator.  The primary form of a
 stage is one integer grid: its endpoints as Python ints over one common
 denominator, the lcm of the endpoint denominators for a stage built from
-intervals, any common multiple for a stage that ``restrict``, a polynomial
-image (affine or the search's map f), the gap-lemma merge or a built-in
-refiner builds straight from the grid it computed.  Stage validation, the
-nesting check, bridges, thickness, the point and piece lookups and the
-endpoint locator ``_endpoint_index`` read the grid, so they compare and
-subtract ints instead of walking ``Fraction`` chains.  A grid-built stage
-normalises its endpoints into ``intervals`` only on the first read of that
-attribute, each endpoint once by ``Fraction(numerator, denominator)``; the
-search's internal stages, whose output is a witness, never build most of
-them.
+intervals or parsed from stage JSON (there, the denominators as written),
+any common multiple for a stage that ``restrict``, a polynomial image
+(affine or the search's map f), the gap-lemma merge or a built-in refiner
+builds straight from the grid it computed.  Stage validation, the nesting
+check, bridges, thickness, the point and piece lookups and the endpoint
+locator ``_endpoint_index`` read the grid, so they compare and subtract ints
+instead of walking ``Fraction`` chains.  A grid-built stage normalises its
+endpoints into ``intervals`` only on the first read of that attribute, each
+endpoint once by ``Fraction(numerator, denominator)``; the search's internal
+stages, whose output is a witness, and a loaded stage file that is only
+measured or rendered never build most of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,6 +130,22 @@ def _trusted_interval(lo: Fraction, hi: Fraction) -> ClosedInterval:
     return iv
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass holding ``fields``, built without
+    its constructor's checks: for values whose order the grid fixes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _grid_of(ends: list[tuple[int, int]]) -> Grid:
+    """The grid of endpoints given as (numerator, positive denominator),
+    in the order lo, hi of each interval, over the lcm of the denominators."""
+    den = math.lcm(*{d for _, d in ends})
+    grid = [n * (den // d) for n, d in ends]
+    return den, grid[::2], grid[1::2]
+
+
 def _first_false(flags: Iterable[bool]) -> int:
     """Index of the first false flag, or -1 when every flag holds."""
     flags = list(flags)
@@ -174,14 +192,6 @@ class Gap:
             return False
         return True
 
-    def strictly_contains(self, lo: Fraction, hi: Fraction) -> bool:
-        """Whether the closed set [lo, hi] lies inside this open gap."""
-        if self.lo is not None and lo <= self.lo:
-            return False
-        if self.hi is not None and hi >= self.hi:
-            return False
-        return True
-
     def __str__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)
@@ -212,10 +222,10 @@ class CantorStage:
     ends are interval endpoints.  The grid is private and never mutated.
 
     The grid is the primary form: a stage built by ``_from_grid`` without
-    its intervals builds ``intervals`` from the grid on the first read and
-    keeps it.  The public constructor, ``make_stage`` and ``stage_from_json``
-    hold their intervals from the start.  Equality, hashing, ``repr`` and
-    pickling see the same stage either way.
+    its intervals, as ``stage_from_json`` builds one, builds ``intervals``
+    from the grid on the first read and keeps it.  The public constructor
+    and ``make_stage`` hold their intervals from the start.  Equality,
+    hashing, ``repr`` and pickling see the same stage either way.
     """
 
     intervals: tuple[ClosedInterval, ...]
@@ -227,12 +237,8 @@ class CantorStage:
     def __post_init__(self):
         ivs = tuple(self.intervals)
         object.__setattr__(self, "intervals", ivs)
-        lo_ratios = [iv.lo.as_integer_ratio() for iv in ivs]
-        hi_ratios = [iv.hi.as_integer_ratio() for iv in ivs]
-        den = math.lcm(*{d for _, d in lo_ratios}, *{d for _, d in hi_ratios})
-        lo = [n * (den // d) for n, d in lo_ratios]
-        hi = [n * (den // d) for n, d in hi_ratios]
-        object.__setattr__(self, "_grid", (den, lo, hi))
+        ends = [x.as_integer_ratio() for iv in ivs for x in (iv.lo, iv.hi)]
+        object.__setattr__(self, "_grid", _grid_of(ends))
         self._validate()
 
     @classmethod
@@ -460,30 +466,43 @@ def _bridge_ends(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
     return left_end, right_end
 
 
-def _bridge_report(
-    stage: CantorStage, gap_index: int, side: str, end: int
-) -> GapBridgeReport:
-    """The report for one side of a bounded gap whose bridge reaches
-    interval ``end`` (from ``_bridge_ends``).  Endpoints are the stage's
-    intervals (``_interval``); the local thickness is one ratio of grid
-    ints."""
+# One bridge row: (gap index, side, first and last interval the bridge
+# spans, local thickness).  The bridge is [lo[first], hi[last]].
+BridgeRow = tuple[int, str, int, int, Fraction]
+
+
+def _bridge_row(lo: list[int], hi: list[int], i: int, side: str, end: int) -> BridgeRow:
+    """The row for one side of bounded gap i, whose bridge reaches interval
+    ``end`` (from ``_bridge_ends``); the local thickness is one ratio of
+    grid ints."""
+    g = lo[i + 1] - hi[i]
+    if side == LEFT:
+        return i, LEFT, end, i, Fraction(hi[i] - lo[end], g)
+    return i, RIGHT, i + 1, end, Fraction(hi[end] - lo[i + 1], g)
+
+
+def _bridge_rows(stage: CantorStage) -> list[BridgeRow]:
+    """Rows for both sides of every bounded gap, left to right: the one walk
+    behind ``all_bridge_reports`` and the rendered braces."""
     _, lo, hi = stage._grid
-    gap = Gap(stage._interval(gap_index).hi, stage._interval(gap_index + 1).lo, BOUNDED)
-    if side == RIGHT:
-        endpoint = gap.hi
-        bridge = ClosedInterval(endpoint, stage._interval(end).hi)
-        width = hi[end] - lo[gap_index + 1]
-    else:
+    left_end, right_end = _bridge_ends(lo, hi)
+    return [_bridge_row(lo, hi, i, side, end) for i in range(len(lo) - 1)
+            for side, end in ((LEFT, left_end[i]), (RIGHT, right_end[i]))]
+
+
+def _bridge_report(interval, row: BridgeRow) -> GapBridgeReport:
+    """The report of one bridge row; ``interval(k)`` is the stage's interval
+    k.  The grid fixed every order, so no constructor re-checks it."""
+    i, side, first, last, local = row
+    gap = _trusted(Gap, lo=interval(i).hi, hi=interval(i + 1).lo, kind=BOUNDED)
+    if side == LEFT:
         endpoint = gap.lo
-        bridge = ClosedInterval(stage._interval(end).lo, endpoint)
-        width = hi[gap_index] - lo[end]
-    return GapBridgeReport(
-        endpoint=endpoint,
-        side=side,
-        gap=gap,
-        bridge=bridge,
-        local_thickness=Fraction(width, lo[gap_index + 1] - hi[gap_index]),
-    )
+        bridge = _trusted_interval(interval(first).lo, endpoint)
+    else:
+        endpoint = gap.hi
+        bridge = _trusted_interval(endpoint, interval(last).hi)
+    return _trusted(GapBridgeReport, endpoint=endpoint, side=side, gap=gap, bridge=bridge,
+                    local_thickness=local)
 
 
 def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridgeReport:
@@ -510,18 +529,13 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
         )
     left_end, right_end = _bridge_ends(lo, hi)
     end = left_end[i] if side == LEFT else right_end[i]
-    return _bridge_report(stage, i, side, end)
+    return _bridge_report(stage._interval, _bridge_row(lo, hi, i, side, end))
 
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     """Reports for both sides of every bounded gap, left to right."""
-    stage.intervals  # every endpoint is read: build them once
-    left_end, right_end = _bridge_ends(*stage._grid[1:])
-    reports: list[GapBridgeReport] = []
-    for i in range(stage.count - 1):
-        reports.append(_bridge_report(stage, i, LEFT, left_end[i]))
-        reports.append(_bridge_report(stage, i, RIGHT, right_end[i]))
-    return reports
+    interval = stage.intervals.__getitem__  # every endpoint is read: build them once
+    return [_bridge_report(interval, row) for row in _bridge_rows(stage)]
 
 
 class ThicknessResult(NamedTuple):
@@ -556,11 +570,8 @@ def thickness(stage: CantorStage) -> ThicknessResult:
             if lhs < rhs or (lhs == rhs and cand[2:4] < best[2:4]):
                 best = cand
     *_, right, i = best
-    if right:
-        report = _bridge_report(stage, i, RIGHT, right_end[i])
-    else:
-        report = _bridge_report(stage, i, LEFT, left_end[i])
-    return ThicknessResult(report.local_thickness, report)
+    row = _bridge_row(lo, hi, i, *((RIGHT, right_end[i]) if right else (LEFT, left_end[i])))
+    return ThicknessResult(row[-1], _bridge_report(stage._interval, row))
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +657,47 @@ def stage_to_json(stage: CantorStage) -> dict:
     }
 
 
+# An integer or 'p/q' token in ASCII digits; every other token goes through
+# to_rational, so Fraction keeps deciding what it accepts and its error text.
+_GRID_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _token_ratio(token) -> tuple[int, int]:
+    """A coordinate token as (numerator, positive denominator), not
+    necessarily in lowest terms."""
+    if type(token) is int:
+        return token, 1
+    if type(token) is str and (m := _GRID_TOKEN.fullmatch(token)):
+        num, den = m.groups()
+        q = 1 if den is None else int(den)
+        if q:
+            return int(num), q
+    return to_rational(token).as_integer_ratio()
+
+
 def stage_from_json(data: dict) -> CantorStage:
-    """Parse a stage object; the depth must be a JSON integer and every
-    coordinate an integer or a 'p/q' string (floats and booleans are
-    rejected, never rounded)."""
+    """Parse a stage object straight to its integer grid; the depth must be
+    a JSON integer and every coordinate an integer or a 'p/q' string
+    (floats and booleans are rejected, never rounded).  Each pair's order
+    is checked as it is read; the other stage checks run on the grid, and
+    ``intervals`` is built on first read."""
     try:
         depth = data["depth"]
         pairs = data["intervals"]
         if type(depth) is not int:
             raise DomainError(f"stage depth must be an integer, got {depth!r}")
-        ivs = tuple(ClosedInterval(to_rational(lo), to_rational(hi)) for lo, hi in pairs)
+        ends = []
+        for lo, hi in pairs:
+            (a, p), (b, q) = _token_ratio(lo), _token_ratio(hi)
+            if a * q > b * p:
+                raise DomainError(
+                    f"interval endpoints out of order: [{Fraction(a, p)}, {Fraction(b, q)}]"
+                )
+            ends += (a, p), (b, q)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed stage object: {exc}") from exc
-    degenerate = any(iv.lo == iv.hi for iv in ivs)
-    return CantorStage(ivs, depth=depth, allow_degenerate=degenerate)
+    grid = _grid_of(ends)
+    return CantorStage._from_grid(grid, depth, None, any(map(eq, grid[1], grid[2])))
 
 
 def dumps_stage(stage: CantorStage, indent: int | None = None) -> str:

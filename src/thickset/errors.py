@@ -57,9 +57,11 @@ class PrecisionError(ThicksetError):
 
 class InsufficientDepthError(ThicksetError):
     """A refinement family is too shallow for the requested operation.
-    ``required_depth`` is a hint for retrying."""
+    ``required_depth`` is a hint for retrying; ``reason`` is the message
+    without it."""
 
     def __init__(self, message: str, *, required_depth: int | None = None):
+        self.reason = message
         if required_depth is not None:
             message = f"{message} (retry with depth >= {required_depth})"
         super().__init__(message)

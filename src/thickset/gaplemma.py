@@ -73,18 +73,22 @@ def containing_gap(host: CantorStage, other: CantorStage) -> Optional[Gap]:
 
     Unbounded gaps count: a set entirely left of the host lies in the host's
     left-unbounded gap.  Only the gap just left of the first host interval
-    reaching ``other.min`` can contain ``other``; a binary search finds it.
+    reaching ``other.min`` can contain ``other``; one cross-multiplied
+    bisection on the host's grid finds it, and only the returned gap's
+    endpoints become Fractions.
     """
-    lo, hi = other.min, other.max
-    ivs = host.intervals
-    k = bisect_left(ivs, lo, key=lambda iv: iv.hi)
+    den, lo, hi = host._grid
+    oden, olo, ohi = other._grid
+    a, b = olo[0] * den, ohi[-1] * den  # other's hull, scaled by den * oden
+    k = bisect_left(hi, a, key=lambda x: x * oden)
+    # hi[k - 1] < other.min, so other fits unless it reaches lo[k].
+    if k < len(lo) and lo[k] * oden <= b:
+        return None
     if k == 0:
-        gap = Gap(None, host.min, LEFT_UNBOUNDED)
-    elif k == len(ivs):
-        gap = Gap(host.max, None, RIGHT_UNBOUNDED)
-    else:
-        gap = Gap(ivs[k - 1].hi, ivs[k].lo, BOUNDED)
-    return gap if gap.strictly_contains(lo, hi) else None
+        return Gap(None, Fraction(lo[0], den), LEFT_UNBOUNDED)
+    if k == len(lo):
+        return Gap(Fraction(hi[-1], den), None, RIGHT_UNBOUNDED)
+    return Gap(Fraction(hi[k - 1], den), Fraction(lo[k], den), BOUNDED)
 
 
 def check_hypotheses(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:

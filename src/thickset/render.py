@@ -1,18 +1,19 @@
 """SVG rendering of stages: one segment per interval, one brace per bridge.
 
 Rendering is presentational, so floats are fine here; exactness matters only
-in reports.  The log option applies a signed log transform, needed when a
-stage mixes scales (the counterexample set spans eps versus eps**2).
+in reports.  Positions come straight from the stage's integer grid (x / den,
+a correctly rounded int division) and the braces from the bridge rows, so a
+render builds no interval; the SVG text is written directly.  The log option
+applies a signed log transform, needed when a stage mixes scales (the
+counterexample set spans eps versus eps**2).
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from bisect import bisect_left
-from fractions import Fraction
 
-from .core import CantorStage, all_bridge_reports
+from .core import CantorStage, _bridge_rows
 
 _WIDTH = 960.0
 _PAD = 40.0
@@ -21,25 +22,25 @@ _LEVEL_STEP = 34.0
 
 
 def _transform(stage: CantorStage, log_scale: bool):
-    lo, hi = float(stage.min), float(stage.max)
+    """The map from a coordinate (a float, or a rational read as one) to
+    its pixel column."""
+    den, lo, hi = stage._grid
+    first, last = lo[0] / den, hi[-1] / den
     if log_scale:
-        linthresh = min(
-            (float(iv.length) for iv in stage.intervals if iv.length > 0),
-            default=1.0,
-        )
+        linthresh = min(((y - x) / den for x, y in zip(lo, hi) if y > x), default=1.0)
 
         def warp(x: float) -> float:
             return math.copysign(math.log10(1.0 + abs(x) / linthresh), x)
 
-        lo, hi = warp(float(stage.min)), warp(float(stage.max))
+        first, last = warp(first), warp(last)
     else:
         def warp(x: float) -> float:
             return x
 
-    span = (hi - lo) or 1.0
+    span = (last - first) or 1.0
 
-    def to_px(x: Fraction) -> float:
-        return _PAD + (warp(float(x)) - lo) / span * (_WIDTH - 2 * _PAD)
+    def to_px(x) -> float:
+        return _PAD + (warp(float(x)) - first) / span * (_WIDTH - 2 * _PAD)
 
     return to_px
 
@@ -74,82 +75,38 @@ def _assign_levels(spans: list[tuple[float, float]]) -> list[int]:
 def render_stage_svg(stage: CantorStage, log_scale: bool = False) -> str:
     """Valid SVG with class='interval' segments and class='bridge' braces."""
     to_px = _transform(stage, log_scale)
-    reports = all_bridge_reports(stage) if stage.count >= 2 else []
+    den, lo, hi = stage._grid
+    xlo = [to_px(x / den) for x in lo]
+    xhi = [to_px(x / den) for x in hi]
+    rows = _bridge_rows(stage)
 
-    spans = [(to_px(r.bridge.lo), to_px(r.bridge.hi)) for r in reports]
+    spans = [(xlo[first], xhi[last]) for _, _, first, last, _ in rows]
     levels = _assign_levels(spans) if spans else []
-    rows = (max(levels) + 1) if levels else 0
-    height = _AXIS_Y + 30.0 + rows * _LEVEL_STEP
-
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(int(_WIDTH)),
-            "height": str(int(height)),
-            "viewBox": f"0 0 {int(_WIDTH)} {int(height)}",
-        },
-    )
+    height = _AXIS_Y + 30.0 + ((max(levels) + 1) if levels else 0) * _LEVEL_STEP
     axis_y = height - _AXIS_Y
-    ET.SubElement(
-        svg,
-        "line",
-        {
-            "class": "axis",
-            "x1": str(_PAD / 2),
-            "y1": f"{axis_y:.2f}",
-            "x2": str(_WIDTH - _PAD / 2),
-            "y2": f"{axis_y:.2f}",
-            "stroke": "#bbbbbb",
-            "stroke-width": "1",
-        },
-    )
-    for iv in stage.intervals:
-        x1, x2 = to_px(iv.lo), to_px(iv.hi)
-        ET.SubElement(
-            svg,
-            "line",
-            {
-                "class": "interval",
-                "x1": f"{x1:.2f}",
-                "y1": f"{axis_y:.2f}",
-                "x2": f"{max(x2, x1 + 1.5):.2f}",
-                "y2": f"{axis_y:.2f}",
-                "stroke": "#202020",
-                "stroke-width": "6",
-                "stroke-linecap": "butt",
-            },
+    y_axis = f"{axis_y:.2f}"
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '
+        f'height="{int(height)}" viewBox="0 0 {int(_WIDTH)} {int(height)}">'
+        f'<line class="axis" x1="{_PAD / 2}" y1="{y_axis}" x2="{_WIDTH - _PAD / 2}" '
+        f'y2="{y_axis}" stroke="#bbbbbb" stroke-width="1" />'
+    ]
+    for x1, x2 in zip(xlo, xhi):
+        out.append(
+            f'<line class="interval" x1="{x1:.2f}" y1="{y_axis}" x2="{max(x2, x1 + 1.5):.2f}" '
+            f'y2="{y_axis}" stroke="#202020" stroke-width="6" stroke-linecap="butt" />'
         )
-    for report, (a, b), level in zip(reports, spans, levels):
+    for row, (a, b), level in zip(rows, spans, levels):
         y = axis_y - 18.0 - level * _LEVEL_STEP
         mid = (a + b) / 2
-        path = (
-            f"M {a:.2f} {y + 8:.2f} "
-            f"C {a:.2f} {y:.2f} {mid:.2f} {y + 6:.2f} {mid:.2f} {y:.2f} "
-            f"C {mid:.2f} {y + 6:.2f} {b:.2f} {y:.2f} {b:.2f} {y + 8:.2f}"
+        out.append(
+            f'<path class="bridge" d="M {a:.2f} {y + 8:.2f} '
+            f'C {a:.2f} {y:.2f} {mid:.2f} {y + 6:.2f} {mid:.2f} {y:.2f} '
+            f'C {mid:.2f} {y + 6:.2f} {b:.2f} {y:.2f} {b:.2f} {y + 8:.2f}" '
+            f'fill="none" stroke="#3465a4" stroke-width="1.2" />'
+            f'<text class="bridge-label" x="{mid:.2f}" y="{y - 3:.2f}" font-size="9" '
+            f'text-anchor="middle" fill="#3465a4">{row[-1]}</text>'
         )
-        ET.SubElement(
-            svg,
-            "path",
-            {
-                "class": "bridge",
-                "d": path,
-                "fill": "none",
-                "stroke": "#3465a4",
-                "stroke-width": "1.2",
-            },
-        )
-        label = ET.SubElement(
-            svg,
-            "text",
-            {
-                "class": "bridge-label",
-                "x": f"{mid:.2f}",
-                "y": f"{y - 3:.2f}",
-                "font-size": "9",
-                "text-anchor": "middle",
-                "fill": "#3465a4",
-            },
-        )
-        label.text = str(report.local_thickness)
-    return ET.tostring(svg, encoding="unicode")
+    out.append("</svg>")
+    return "".join(out)

@@ -11,11 +11,13 @@ from fractions import Fraction
 from thickset import (
     CantorStage,
     ClosedInterval,
+    DomainError,
     RandomThickSpec,
     RefinableFamily,
     gaps,
     random_thick,
 )
+from thickset.core import to_rational
 
 
 def brute_local_thickness(stage: CantorStage, gap_index: int, side: str) -> Fraction:
@@ -88,6 +90,21 @@ def stage_problem(intervals, allow_degenerate: bool):
     return None
 
 
+def fraction_stage_from_json(data) -> CantorStage:
+    """The per-token stage parser: a validated ``ClosedInterval`` of two
+    ``to_rational`` Fractions per pair, then the public constructor."""
+    try:
+        depth = data["depth"]
+        pairs = data["intervals"]
+        if type(depth) is not int:
+            raise DomainError(f"stage depth must be an integer, got {depth!r}")
+        ivs = tuple(ClosedInterval(to_rational(lo), to_rational(hi)) for lo, hi in pairs)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed stage object: {exc}") from exc
+    degenerate = any(iv.lo == iv.hi for iv in ivs)
+    return CantorStage(ivs, depth=depth, allow_degenerate=degenerate)
+
+
 def nesting_problem(child: CantorStage, parent: CantorStage):
     """The DomainError text of ``child.check_nested_in(parent)``, or None:
     every child interval is looked up in every parent interval."""
@@ -112,9 +129,10 @@ def probe_points(*stages: CantorStage) -> list[Fraction]:
 
 
 def brute_containing_gap(host: CantorStage, other: CantorStage):
-    """Linear scan over every gap of ``host`` for one containing ``other``."""
+    """Linear scan over every gap of ``host`` for one containing ``other``
+    (an unbounded side is infinite)."""
     for gap in gaps(host):
-        if gap.strictly_contains(other.min, other.max):
+        if (gap.lo is None or gap.lo < other.min) and (gap.hi is None or other.max < gap.hi):
             return gap
     return None
 

@@ -407,12 +407,52 @@ def test_output_closed_early_through_a_real_pipe(tmp_path, capsys, verb):
     assert proc.stderr.decode() == "error: output closed early (broken pipe)\n"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["thickness", "--help"]])
+def test_help_into_a_closed_pipe_is_exit_3(argv):
+    """argparse prints the help into stdout's buffer and exits; the parser
+    flushes it first, so the closed pipe is met inside main."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "thickset.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert "Exception ignored" not in proc.stderr.decode()
+    assert proc.stderr.decode() == "error: output closed early (broken pipe)\n"
+
+
+def test_help_is_printed_by_the_cached_parser(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: thickset")
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_bridges_json_bytes_are_pinned(tmp_path, capsys):
+    """sha256 of the bridges verb's output on a depth-9 random-thick stage,
+    taken from the checked-constructor reports the bridge rows replaced."""
+    stage_file = tmp_path / "a.json"
+    out_file = tmp_path / "bridges.json"
+    run(["construct", "--random-thick", "3/2", "--depth", "9", "--seed", "1",
+         "--out", str(stage_file)], capsys)
+    assert run(["bridges", str(stage_file), "--out", str(out_file)], capsys)[0] == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "7a10bc48268cf10a74779177d356448540103f2baa6e3515a721e878a822cd82"
+
+
 def test_find_config_tiny_delta_stops_at_the_scan_limit(capsys):
     """subset_extract scans as deep as the interval budget allows, then
-    gives up (a scan to depth 23 would not finish)."""
+    gives up (a scan to depth 23 would not finish); the hint names the
+    option a user can change."""
     limit = cli.INTERVAL_BUDGET.bit_length() - 1
     code, out, err = run(["find-config", "--set-family", "middle-alpha:1/5", "--f", "1",
                           "--delta", "1/1000000000", "--max-depth", "4"], capsys)
     assert code == 3 and out == ""
     assert err == (f"error: no gap suitable for extraction within 1/1000000000 of the largest "
-                   f"gap up to depth {limit} (retry with depth >= {limit + 1})\n")
+                   f"gap up to depth {limit} (retry with a larger --delta)\n")

@@ -2,6 +2,7 @@
 constructor and the Fraction oracles in conftest."""
 
 import copy
+import json
 import math
 import pickle
 from fractions import Fraction as F
@@ -20,18 +21,23 @@ from thickset import (
     affine_image,
     bounded_gaps,
     bridge_at,
+    check_hypotheses,
+    dumps_stage,
     intersect,
+    loads_stage,
     middle_alpha_family,
     persistent_intersect,
     random_thick_family,
     restrict,
     thickness,
 )
-from thickset.core import _polynomial_image
+from thickset.core import _polynomial_image, stage_from_json
 from thickset.functions import Polynomial, sign_on_interval
+from thickset.render import render_stage_svg
 from thickset.search import largest_gap_frame, subset_extract
 from conftest import (
     brute_thickness,
+    fraction_stage_from_json,
     naive_middle_alpha_children,
     naive_random_thick_children,
     nesting_problem,
@@ -558,3 +564,102 @@ def test_lazy_stages_compare_hash_and_copy_like_their_eager_rebuild(stage):
         assert other.intervals == eager.intervals
     assert getattr(stage, "no_such_attribute", None) is None
 
+
+
+# Stage JSON tokens: the integer and 'p/q' forms the grid parser reads
+# itself, and every form it must hand to Fraction: signs, padding, decimals,
+# exponents, underscores, zero or negative denominators, non-ASCII digits,
+# wrong shapes and wrong types.
+_small = st.integers(-6, 6)
+_token = st.one_of(
+    _small,
+    st.builds(lambda p, q: f"{p}/{q}", _small, st.integers(0, 4)),
+    st.builds(lambda p, q: f"{p}/{q}", _small, st.integers(-2, -1)),
+    st.builds(lambda p, q: f"+{abs(p)}/{q}", _small, st.integers(1, 4)),
+    st.builds(lambda p, pad: f"{pad}{p}{pad}", _small, st.sampled_from([" ", "\t", "\n"])),
+    st.booleans(),
+    st.floats(-4, 4) | st.sampled_from([float("nan"), float("inf")]),
+    st.sampled_from(["0.5", "1e3", "1/0", "1/-2", "1_000", "-0", "007/010", "\u0661/\u0662",
+                     "\uff13", "1/2/3", "", "/", "-", "--1", "1 /2", "1/ 2", "0x10", "abc",
+                     "2/4\n"]),
+    st.text(alphabet="0123456789/-+ ._e\u0663", max_size=5),
+    st.sampled_from([None, [], {}, [1, 2]]),
+)
+# Two-token pairs are listed twice to draw them more often than wrong shapes.
+_pair = st.one_of(
+    st.lists(_token, min_size=2, max_size=2),
+    st.lists(_token, min_size=2, max_size=2),
+    st.lists(_token, max_size=3),
+    st.sampled_from([None, 3, "ab", {"lo": 0, "hi": 1}]),
+)
+_ordered_pair = st.tuples(st.integers(-20, 20), st.integers(0, 3), st.integers(1, 3)).map(
+    lambda t: [f"{t[0]}/{t[2]}", t[0] + t[1]])
+
+
+@st.composite
+def _stage_objects(draw):
+    """Stage objects that are often valid and often carry one, two or more
+    faults: mostly increasing pairs with faulty pairs and tokens mixed in."""
+    pairs = draw(st.lists(st.one_of(_ordered_pair, _ordered_pair, _pair), max_size=8))
+    if draw(st.booleans()):
+        pairs.sort(key=lambda p: str(p))
+    data = {"depth": draw(st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from(
+        [1.0, "1", None]))), "intervals": pairs}
+    drop = draw(st.sampled_from([None, None, None, "depth", "intervals"]))
+    if drop:
+        del data[drop]
+    return draw(st.sampled_from([data, data, data, pairs, None, "x"]))
+
+
+def _parse(parser, data):
+    try:
+        return parser(data), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_stage_objects())
+def test_stage_from_json_matches_the_fraction_parser(data):
+    """The grid parser gives the per-token parser's stage, or its
+    DomainError text: the first fault in file order wins in both."""
+    stage, error = _parse(stage_from_json, data)
+    expected, expected_error = _parse(fraction_stage_from_json, data)
+    assert error == expected_error
+    if expected is not None:
+        assert _is_lazy(stage)
+        assert stage == expected
+        assert stage.depth == expected.depth
+        assert stage.allow_degenerate == expected.allow_degenerate
+        assert [F(x, stage._grid[0]) for x in stage._grid[1]] == [iv.lo for iv in expected.intervals]
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"depth": 1, "intervals": [["1", "0"], [0.5, 1]]}',
+     "interval endpoints out of order: [1, 0]"),
+    ('{"depth": 1, "intervals": [["0", "1"], ["3", "2"], [0.5, 1]]}',
+     "interval endpoints out of order: [3, 2]"),
+    ('{"depth": 1, "intervals": [["0", "1"], [0.5, 1], ["3", "2"]]}',
+     "floats are not accepted as coordinates: 0.5"),
+    ('{"depth": 1, "intervals": [["0", "1/0"], ["3", "2"]]}',
+     "malformed stage object: Fraction(1, 0)"),
+    ('{"depth": 1, "intervals": [["+1/2", " 3/4 "], ["1", "2"]]}', None),
+])
+def test_stage_file_faults_are_reported_in_file_order(text, error):
+    expected, expected_error = _parse(fraction_stage_from_json, json.loads(text))
+    assert expected_error == error
+    stage, got_error = _parse(loads_stage, text)
+    assert got_error == error
+    assert stage == expected
+
+
+def test_whole_stage_verbs_build_no_interval_of_a_loaded_stage():
+    """Thickness, the gap-lemma check and both renders read a loaded
+    stage's grid only."""
+    k1, k2 = (loads_stage(dumps_stage(random_stage(seed, F(2), depth=6))) for seed in (1, 2))
+    thickness(k1)
+    check_hypotheses(k1, k2)
+    check_hypotheses(k2, affine_image(k1, 1, 5))
+    render_stage_svg(k1)
+    render_stage_svg(k1, log_scale=True)
+    assert _is_lazy(k1) and _is_lazy(k2)
