@@ -78,11 +78,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise _UsageError(message)
 
-    def exit(self, status=0, message=None):
-        # --help has printed into stdout's buffer: flush it here, inside
-        # main, where a closed pipe is exit 3 like every other verb.
-        sys.stdout.flush()
-        super().exit(status, message)
+    def print_help(self, file=None):
+        # Written and flushed here, inside main, where a closed pipe is exit 3
+        # like every other verb; argparse's own write swallows its error.
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 def _fraction(text: str) -> Fraction:
@@ -90,11 +91,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"not a rational number: {text!r} ({exc})") from exc
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -110,7 +106,12 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _load_stage_file(path: str):
-    return loads_stage(_read_text(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return loads_stage(text)
 
 
 def _check_budget(flag: str, depth: int) -> None:
@@ -130,7 +131,10 @@ def _parse_family(spec: str) -> StageFamily:
     if kind == "middle-alpha" and len(parts) == 2:
         return middle_alpha_family(_fraction(parts[1]))
     if kind == "random-thick" and len(parts) in (2, 3):
-        seed = int(parts[2]) if len(parts) == 3 else 0
+        try:
+            seed = int(parts[2]) if len(parts) == 3 else 0
+        except ValueError:
+            raise _UsageError(f"not an integer seed: {parts[2]!r}") from None
         return random_thick_family(
             RandomThickSpec(target_tau=_fraction(parts[1]), depth=0, seed=seed)
         )
@@ -459,6 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_EXIT
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:  # after BrokenPipeError: a directory or an unreadable file
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE_EXIT
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

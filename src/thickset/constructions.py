@@ -30,7 +30,7 @@ from .core import (
     Gap,
     RationalLike,
     _endpoint_index,
-    _trusted_interval,
+    _rational_text,
     affine_image,
     restrict,
     thickness,
@@ -78,41 +78,34 @@ class StageFamily:
 class _GridRefiner:
     """A built-in construction's refinement as one integer formula.
 
-    ``cut(x, y, iv, depth)`` takes interval ``iv`` = [x/den, y/den] of a grid
-    over any denominator ``den`` and returns the integers (a, b) that split
-    it into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
+    ``cut(x, y, den, depth)`` takes interval [x/den, y/den] of a grid over
+    any denominator ``den`` and returns the integers (a, b) that split it
+    into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
     applies the formula to a whole stage grid and builds the child stage
-    straight from the child grid; calling the object is the per-interval
+    from the child grid alone; calling the object is the per-interval
     refiner, with validated children, that ``interval_chain`` walks.
     """
 
-    def __init__(
-        self, factor: int, cut: Callable[[int, int, ClosedInterval, int], tuple[int, int]]
-    ):
+    def __init__(self, factor: int, cut: Callable[[int, int, int, int], tuple[int, int]]):
         self.factor = factor
         self.cut = cut
 
     def __call__(self, iv: ClosedInterval, depth: int) -> list[ClosedInterval]:
         (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-        a, b = self.cut(ln * hd, hn * ld, iv, depth)
+        a, b = self.cut(ln * hd, hn * ld, ld * hd, depth)
         den = ld * hd * self.factor
         return [ClosedInterval(iv.lo, Fraction(a, den)), ClosedInterval(Fraction(b, den), iv.hi)]
 
     def refine(self, parent: CantorStage, depth: int) -> CantorStage:
         den, lo, hi = parent._grid
         m, cut = self.factor, self.cut
-        den *= m
-        ivs: list[ClosedInterval] = []
         clo: list[int] = []
         chi: list[int] = []
-        for iv, x, y in zip(parent.intervals, lo, hi):
-            a, b = cut(x, y, iv, depth)
-            ivs += (_trusted_interval(iv.lo, Fraction(a, den)),
-                    _trusted_interval(Fraction(b, den), iv.hi))
+        for x, y in zip(lo, hi):
+            a, b = cut(x, y, den, depth)
             clo += (x * m, b)
             chi += (a, y * m)
-        return CantorStage._from_grid((den, clo, chi), parent.depth + 1, parent,
-                                      intervals=tuple(ivs))
+        return CantorStage._from_grid((den * m, clo, chi), parent.depth + 1, parent)
 
 
 class RefinableFamily(StageFamily):
@@ -217,10 +210,8 @@ class RestrictedFamily(StageFamily):
 
 
 def _at_depth(stage: CantorStage, depth: int) -> CantorStage:
-    """The same grid, and intervals if built, as a parentless stage of
-    another depth."""
-    return CantorStage._from_grid(stage._grid, depth, None, stage.allow_degenerate,
-                                  intervals=stage.__dict__.get("intervals"))
+    """The same grid as a parentless stage of another depth."""
+    return CantorStage._from_grid(stage._grid, depth, None, stage.allow_degenerate)
 
 
 class AffineFamily(StageFamily):
@@ -249,7 +240,7 @@ class AffineFamily(StageFamily):
 def _middle_alpha_refiner(alpha: Fraction) -> _GridRefiner:
     bn, bd = ((1 - alpha) / 2).as_integer_ratio()
 
-    def cut(x: int, y: int, _iv: ClosedInterval, _depth: int) -> tuple[int, int]:
+    def cut(x: int, y: int, _den: int, _depth: int) -> tuple[int, int]:
         # Over den*bd, beta * width is bn * (y - x).
         keep = bn * (y - x)
         return x * bd + keep, y * bd - keep
@@ -341,8 +332,9 @@ def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     # cd = 2*unit*crit*pd.
     cd = 2 * unit * crit * pd
 
-    def cut(x: int, y: int, iv: ClosedInterval, depth: int) -> tuple[int, int]:
-        tag = f"{spec.seed}:{depth}:{iv.lo}:{iv.hi}"
+    def cut(x: int, y: int, den: int, depth: int) -> tuple[int, int]:
+        # The tag names the interval by its lowest-terms endpoints.
+        tag = f"{spec.seed}:{depth}:{_rational_text(x, den)}:{_rational_text(y, den)}"
         sn = unit + _seeded_share(tag + ":len")
         pn = _seeded_share(tag + ":pos") if placement is None else placement.numerator
         left = tn * sn * pd + pn * (2 * unit - sn) * crit

@@ -31,7 +31,8 @@ instead of walking ``Fraction`` chains.  A grid-built stage normalises its
 endpoints into ``intervals`` only on the first read of that attribute, each
 endpoint once by ``Fraction(numerator, denominator)``; the search's internal
 stages, whose output is a witness, and a loaded stage file that is only
-measured or rendered never build most of them.
+measured or rendered never build most of them.  Stage JSON is written from
+the grid too, so a refined stage that is only written builds none.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ def to_rational(value: RationalLike) -> Fraction:
 def rational_str(value: Fraction) -> str:
     """Lowest-terms string form, e.g. '2/3', '-1/2', '4'."""
     return str(value)
+
+
+def _rational_text(n: int, d: int) -> str:
+    """``rational_str(Fraction(n, d))`` for d > 0, from one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 @dataclass(frozen=True)
@@ -221,9 +228,10 @@ class CantorStage:
     and tells ``subset_extract`` and ``RestrictedFamily`` whether a window's
     ends are interval endpoints.  The grid is private and never mutated.
 
-    The grid is the primary form: a stage built by ``_from_grid`` without
-    its intervals, as ``stage_from_json`` builds one, builds ``intervals``
-    from the grid on the first read and keeps it.  The public constructor
+    The grid is the primary form: a stage built by ``_from_grid``, as every
+    grid operation, built-in refiner and ``stage_from_json`` builds one,
+    builds ``intervals`` from the grid on the first read and keeps it, and
+    ``stage_to_json`` writes its text from the grid.  The public constructor
     and ``make_stage`` hold their intervals from the start.  Equality,
     hashing, ``repr`` and pickling see the same stage either way.
     """
@@ -243,23 +251,19 @@ class CantorStage:
 
     @classmethod
     def _from_grid(cls, grid: Grid, depth: int = 0, parent: Optional["CantorStage"] = None,
-                   allow_degenerate: bool = False,
-                   intervals: Optional[tuple[ClosedInterval, ...]] = None) -> "CantorStage":
+                   allow_degenerate: bool = False) -> "CantorStage":
         """A stage from the grid an operation computed: the grid is taken as
-        it is, and every stage check runs on its ints.  ``intervals``, when
-        the operation already holds them, must be the grid's endpoints;
-        otherwise they are built on first read."""
+        it is, every stage check runs on its ints, and ``intervals`` is
+        built on first read."""
         stage = object.__new__(cls)
-        d = stage.__dict__
-        d.update(depth=depth, parent=parent, allow_degenerate=allow_degenerate, _grid=grid)
-        if intervals is not None:
-            d["intervals"] = intervals
+        stage.__dict__.update(depth=depth, parent=parent, allow_degenerate=allow_degenerate,
+                              _grid=grid)
         stage._validate()
         return stage
 
     def __getattr__(self, name: str):
         # Only ``intervals`` can be missing from a stage, and only from one
-        # that _from_grid built without them.
+        # that _from_grid built.
         if name != "intervals":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         den, lo, hi = self._grid
@@ -651,9 +655,11 @@ def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -
 # ---------------------------------------------------------------------------
 
 def stage_to_json(stage: CantorStage) -> dict:
+    """The stage object, its 'p/q' strings written from the grid."""
+    den, lo, hi = stage._grid
     return {
         "depth": stage.depth,
-        "intervals": [iv.to_json() for iv in stage.intervals],
+        "intervals": [[_rational_text(x, den), _rational_text(y, den)] for x, y in zip(lo, hi)],
     }
 
 

@@ -152,7 +152,9 @@ def subset_extract(
     where both window endpoints are interval endpoints, so that every
     returned stage is a genuine bridge restriction; per-level thickness
     preservation is asserted exactly for the first ``_VERIFIED_LEVELS``
-    levels.
+    levels: the family's ``thickness_bound`` if it certifies one (a gap cut
+    later inside the window may outgrow the gap whose bridge it is), else
+    each level's own thickness.
     """
     delta = to_rational(delta)
     if delta <= 0:
@@ -205,12 +207,13 @@ def subset_extract(
         raise InternalContradictionError("bridge endpoints never align with stage intervals")
 
     sub = RestrictedFamily(family, window, depth_offset=base)
+    bound = family.thickness_bound
     for level in range(_VERIFIED_LEVELS + 1):
         piece = sub.stage(level)
         if piece.count < 2:
             continue
         inner = thickness(piece).value
-        outer = thickness(family.stage(base + level)).value
+        outer = bound if bound is not None else thickness(family.stage(base + level)).value
         if inner < outer:
             raise InternalContradictionError(
                 f"bridge restriction lost thickness at level {level}: {inner} < {outer}"
@@ -281,26 +284,6 @@ def _point_enclosures(
     )
 
 
-def _build_witness(
-    family: StageFamily,
-    max_depth: int,
-    x: Fraction,
-    t: ClosedInterval,
-    ft: ClosedInterval,
-) -> ConfigWitness:
-    """Membership chains of the three point enclosures.  The finders build
-    every enclosure inside stage intervals, so one that leaves the family is
-    a bug."""
-    try:
-        chains = tuple(
-            tuple(family.interval_chain(enc, max_depth))
-            for enc in _point_enclosures(x, t, ft)
-        )
-    except DomainError as exc:
-        raise InternalContradictionError(f"witness point left the family: {exc}") from exc
-    return ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
-
-
 def verify_witness(
     family: StageFamily,
     witness: ConfigWitness,
@@ -343,6 +326,29 @@ def verify_witness(
                 failures.append(f"{name} chain is not nested")
                 break
     return {"ok": not failures, "failures": failures}
+
+
+def _verified_witness(kind: str, family: StageFamily, max_depth: int, x: Fraction,
+                      t: ClosedInterval, ft: ClosedInterval,
+                      f: Optional[FunctionSpec] = None) -> ConfigWitness:
+    """The finders' last step: the membership chains of the three point
+    enclosures, replayed by ``verify_witness``.  The finders build every
+    enclosure inside stage intervals, so one that leaves the family, or a
+    witness that fails its own replay, is a bug."""
+    try:
+        chains = tuple(
+            tuple(family.interval_chain(enc, max_depth))
+            for enc in _point_enclosures(x, t, ft)
+        )
+    except DomainError as exc:
+        raise InternalContradictionError(f"witness point left the family: {exc}") from exc
+    witness = ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
+    failures = verify_witness(family, witness, f)["failures"]
+    if failures:
+        raise InternalContradictionError(
+            f"{kind} witness failed self-verification: " + "; ".join(failures)
+        )
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +456,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
     t_enc = persistent_intersect(fr.left, fr.right, check=False).chain[-1]
-    witness = _build_witness(family, max_depth, fr.x, t_enc, t_enc)
-    report = verify_witness(family, witness)
-    if not report["ok"]:
-        raise InternalContradictionError(
-            "3-AP witness failed self-verification: " + "; ".join(report["failures"])
-        )
-    return witness
+    return _verified_witness("3-AP", family, max_depth, fr.x, t_enc, t_enc)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +686,8 @@ def _attempt_config(
     t_hi = monotone_inverse(f, ft_enc.hi, bracket, _INVERSE_PRECISION).hi
     t_enc = ClosedInterval(max(t_lo, source_iv.lo), min(t_hi, source_iv.hi))
 
-    witness = _build_witness(family, sub.depth_offset + levels, fr.x, t_enc, ft_enc)
-    report = verify_witness(family, witness, f)
-    if not report["ok"]:
-        raise InternalContradictionError(
-            "configuration witness failed self-verification: "
-            + "; ".join(report["failures"])
-        )
+    witness = _verified_witness("configuration", family, sub.depth_offset + levels, fr.x,
+                                t_enc, ft_enc, f)
     return FindConfigResult(
         witness=witness,
         tau=tau,

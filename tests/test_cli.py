@@ -305,6 +305,44 @@ def test_coerced_stage_json_is_a_domain_error(tmp_path, capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("contents, message", [
+    (b"\xff\xfe{", "error: bad.json is not UTF-8 text: invalid start byte at byte 0"),
+    (None, "cannot open bad.json: Is a directory"),
+], ids=["not-utf8", "directory"])
+def test_unreadable_stage_file_is_exit_3(tmp_path, capsys, monkeypatch, contents, message):
+    monkeypatch.chdir(tmp_path)
+    if contents is None:
+        os.mkdir("bad.json")
+    else:
+        (tmp_path / "bad.json").write_bytes(contents)
+    for verb in (["thickness"], ["render"], ["check-gap-lemma", "bad.json"]):
+        code, out, err = run([*verb, "bad.json"], capsys)
+        assert (code, out, err) == (3, "", message + "\n")
+
+
+def test_stage_file_without_read_permission_is_exit_3(tmp_path, capsys, monkeypatch):
+    """Faked: a process that may read every file meets no PermissionError."""
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run(["thickness", str(tmp_path / "k.json")], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"cannot open {tmp_path / 'k.json'}: Permission denied\n"
+
+
+@pytest.mark.parametrize("family", ["random-thick:2:abc", "random-thick:2:", "random-thick:2:1.5"])
+def test_bad_family_seed_is_a_usage_error(capsys, family):
+    for argv in (["find-3ap"], ["find-config", "--f", "1"],
+                 ["sweep", "--slope-min", "1", "--slope-max", "2"]):
+        code, out, err = run([*argv, "--set-family", family, "--max-depth", "4"], capsys)
+        assert (code, out) == (3, "")
+        seed = family.split(":")[2]
+        assert err.startswith(f"usage error: not an integer seed: {seed!r}\nusage: thickset")
+        assert "Traceback" not in err
+
+
 def test_unknown_verb_prints_usage(capsys):
     code, _, err = run(["frobnicate"], capsys)
     assert code == 3
@@ -407,11 +445,15 @@ def test_output_closed_early_through_a_real_pipe(tmp_path, capsys, verb):
     assert proc.stderr.decode() == "error: output closed early (broken pipe)\n"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["thickness", "--help"]])
-def test_help_into_a_closed_pipe_is_exit_3(argv):
-    """argparse prints the help into stdout's buffer and exits; the parser
-    flushes it first, so the closed pipe is met inside main."""
+def test_help_into_a_closed_pipe_is_exit_3(argv, unbuffered):
+    """The parser writes and flushes the help itself: argparse would swallow
+    an unbuffered write's error and leave a buffered one to the exit flush.
+    Either way the closed pipe is met inside main."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     read_end, write_end = os.pipe()
     os.close(read_end)

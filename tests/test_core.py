@@ -24,6 +24,7 @@ from thickset import (
     restrict,
     thickness,
 )
+from thickset.core import _rational_text
 from conftest import (
     brute_local_thickness,
     brute_thickness,
@@ -387,6 +388,15 @@ def test_json_input_is_never_coerced(text):
 def test_json_integer_coordinates_accepted():
     stage = loads_stage('{"depth": 1, "intervals": [[0, "1/3"], ["2/3", 1]]}')
     assert stage.intervals == make_stage([(0, F(1, 3)), (F(2, 3), 1)]).intervals
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(), st.integers(-2 ** 300, 2 ** 300)),
+       st.one_of(st.integers(1, 10 ** 6), st.integers(1, 2 ** 300)),
+       st.integers(1, 2 ** 64))
+def test_rational_text_is_the_fraction_text(n, d, common):
+    for num, den in ((n, d), (0, d), (n * common, d * common)):
+        assert _rational_text(num, den) == str(F(num, den))
 
 
 def test_reports_recompute_bit_for_bit():

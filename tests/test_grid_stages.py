@@ -1,6 +1,7 @@
 """Stages built straight from integer grids, refereed by the public
 constructor and the Fraction oracles in conftest."""
 
+import contextlib
 import copy
 import json
 import math
@@ -31,7 +32,7 @@ from thickset import (
     restrict,
     thickness,
 )
-from thickset.core import _polynomial_image, stage_from_json
+from thickset.core import _polynomial_image, stage_from_json, stage_to_json
 from thickset.functions import Polynomial, sign_on_interval
 from thickset.render import render_stage_svg
 from thickset.search import largest_gap_frame, subset_extract
@@ -663,3 +664,87 @@ def test_whole_stage_verbs_build_no_interval_of_a_loaded_stage():
     render_stage_svg(k1)
     render_stage_svg(k1, log_scale=True)
     assert _is_lazy(k1) and _is_lazy(k2)
+
+
+# ---------------------------------------------------------------------------
+# built-in families and stage JSON stay on the grid
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _fraction_count():
+    """Yields a one-item list counting ``Fraction.__new__`` calls inside
+    the block."""
+    calls = [0]
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "__new__", counting)
+        yield calls
+
+
+_BUILT_IN_FAMILIES = {
+    "middle-alpha": (F(1, 5), None),
+    "random-thick": (RandomThickSpec(F(3, 2), 0, 7), None),
+    "random-thick-placed": (RandomThickSpec(F(2), 0, 3, F(2, 7)), None),
+    "random-thick-on-a-base": (RandomThickSpec(F(7, 5), 0, 11), ClosedInterval(F(-3, 4), F(5, 6))),
+}
+
+
+def _naive_children(params, iv, depth):
+    if isinstance(params, RandomThickSpec):
+        return naive_random_thick_children(iv.lo, iv.hi, depth, params)
+    return naive_middle_alpha_children(iv.lo, iv.hi, params)
+
+
+@pytest.mark.parametrize("name", list(_BUILT_IN_FAMILIES))
+def test_built_in_refinement_builds_no_fraction(name):
+    """Each stage comes from its parent's grid alone, writes its JSON from
+    the grid, and reads back the children of step-by-step Fraction
+    arithmetic, which the per-interval refiner gives too."""
+    params, base = _BUILT_IN_FAMILIES[name]
+    if isinstance(params, RandomThickSpec):
+        family = random_thick_family(params, base)
+    else:
+        family = middle_alpha_family(params, base)
+    for d in range(1, 9):
+        with _fraction_count() as calls:
+            stage = family.stage(d)
+            text = dumps_stage(stage)
+        assert calls == [0] and _is_lazy(stage)
+        parent = family.stage(d - 1).intervals
+        expected = [c for iv in parent for c in _naive_children(params, iv, d - 1)]
+        assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
+        assert [c for iv in parent for c in family._refine(iv, d - 1)] == list(stage.intervals)
+        assert json.loads(text) == {"depth": d,
+                                    "intervals": [iv.to_json() for iv in stage.intervals]}
+
+
+def _assert_json_from_the_grid(stage):
+    data = stage_to_json(stage)
+    assert _is_lazy(stage)
+    assert data == {"depth": stage.depth, "intervals": [iv.to_json() for iv in stage.intervals]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lazy_stages())
+def test_stage_json_from_the_grid_matches_the_intervals(stage):
+    _assert_json_from_the_grid(stage)
+
+
+def test_stage_json_from_each_grid_operation_matches_the_intervals():
+    a, b = random_stage(4, F(2), depth=5), random_stage(5, F(3, 2), depth=5)
+    window = ClosedInterval(F(1, 7), F(5, 7))
+    common = intersect(a, affine_image(b, 1, F(3, 1024))).common
+    for stage in (
+        restrict(a, window),
+        affine_image(a, F(-3, 5), F(1, 9)),
+        common,
+        _rescaled(restrict(a, window), 6),
+        _rescaled(common, 2 ** 40),
+        loads_stage('{"depth": 2, "intervals": [["-4/6", "-1/3"], ["0", "2/4"], [3, "9/3"]]}'),
+    ):
+        _assert_json_from_the_grid(stage)

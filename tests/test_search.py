@@ -127,6 +127,18 @@ def test_subset_extract_insufficient_depth_hint():
     assert err.value.required_depth == 6
 
 
+def test_subset_extract_keeps_the_certified_bound_of_a_window_thinner_than_its_level():
+    """A gap cut inside the window after the scan depth is longer than the
+    gap whose bridge the window is, so the window is thinner than its whole
+    level; it keeps the family's certified bound."""
+    fam = random_thick_family(RandomThickSpec(F(3, 2), 0, 81, F(5, 7)),
+                              ClosedInterval(F(0), F(1, 45)))
+    sub = subset_extract(fam, F(1, 180))
+    assert thickness(sub.stage(1)).value < thickness(fam.stage(sub.depth_offset + 1)).value
+    for level in range(1, 6):
+        assert thickness(sub.stage(level)).value >= F(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # find_3ap
 # ---------------------------------------------------------------------------
