@@ -711,4 +711,8 @@ def dumps_stage(stage: CantorStage, indent: int | None = None) -> str:
 
 
 def loads_stage(text: str) -> CantorStage:
-    return stage_from_json(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise DomainError("stage JSON is nested too deeply") from exc
+    return stage_from_json(data)

@@ -5,16 +5,16 @@ Three finders, all exact or certified:
 * ``find_3ap``: three-term arithmetic progressions {x - t, x, x + t} in a
   family of thickness at least 1.  The middle point is a largest-gap
   endpoint; the offset t is located by intersecting the reflected left
-  bridge piece with the right bridge piece across every depth.
+  bridge piece with the right bridge piece of the deepest stage.
 * ``find_config``: nonlinear configurations {x - t, x, x + f(t)} for
   thickness above 1 and f'(0) strictly inside the admissible slope window.
   The pipeline localizes to a small bridge, orients so the left bridge
   dominates, maps the bridge piece that carries t forward through the exact
   polynomial (f is increasing on the validated box, so f([a, b]) is
-  [f(a), f(b)]) and intersects the image persistently and exactly with the
-  piece that carries f(t).  The smooth-image thickness hypothesis is checked
-  a posteriori and exactly on the image stages.  Only the witness offset t
-  needs a certified inverse: two bisections, one per end of ``ft``.
+  [f(a), f(b)]) and intersects the deepest image exactly with the piece
+  that carries f(t).  The smooth-image thickness hypothesis is checked a
+  posteriori and exactly on the image of every level.  Only the witness
+  offset t needs a certified inverse: two bisections, one per end of ``ft``.
 * ``verify_counterexample``: exact endpoint-inequality verification that the
   five-interval construction avoids {x - t, x, x + t^2} at its largest-gap
   endpoints.
@@ -355,56 +355,47 @@ def _verified_witness(kind: str, family: StageFamily, max_depth: int, x: Fractio
 # Orient and frame
 # ---------------------------------------------------------------------------
 
-class _OrientedFrame(NamedTuple):
-    """The largest-gap frame of a deepest stage, with the stage sequence
-    reflected when needed so that the left bridge dominates.
+class _Piece(NamedTuple):
+    """A stage's part in ``window``, as offsets z -> scale * z + shift."""
 
-    Offsets are measured from the gap's right endpoint x0 (in oriented
-    coordinates): ``left`` holds the left bridge piece of every stage
-    reflected about x0 (it spans [gap_len, left_reach]), ``right`` the right
-    bridge piece shifted by -x0 (it spans [0, right_reach]).  ``x`` is x0 in
-    the caller's coordinates, the middle point of the configuration.
-    """
+    window: ClosedInterval
+    scale: int
+    shift: Fraction
+
+    def of(self, stage: CantorStage) -> CantorStage:
+        return affine_image(restrict(stage, self.window), self.scale, self.shift)
+
+
+class _OrientedFrame(NamedTuple):
+    """The largest-gap frame of a stage, oriented so that the left bridge
+    dominates.  Offsets run from the oriented gap's right endpoint (the middle
+    point ``x`` in the caller's coordinates): the ``left`` piece spans
+    [gap_len, left_reach], the ``right`` piece [0, right_reach]."""
 
     gap_len: Fraction
     left_reach: Fraction
     right_reach: Fraction
     reflected: bool
     x: Fraction
-    left: list[CantorStage]
-    right: list[CantorStage]
+    left: _Piece
+    right: _Piece
 
 
-def _orient_and_frame(stages: list[CantorStage]) -> _OrientedFrame:
-    """Frame the deepest stage, reflecting it when its right bridge is the
-    longer one.  Only the deepest stage is reflected, to frame it (leftmost
-    on ties, as the reflected sequence would be); every stage is then
-    restricted to the bridges mirrored back and mapped once, by the
-    composition of the reflection with the offset map."""
-    frame = largest_gap_frame(stages[-1])
-    reflected = not frame.left_at_least_right
-    sign = 1
-    if reflected:
-        frame = largest_gap_frame(affine_image(stages[-1], Fraction(-1), Fraction(0)))
-        if not frame.left_at_least_right:
-            raise InternalContradictionError("reflection did not flip bridge dominance")
-        sign = -1
-    x0 = frame.gap.hi
-    left_window, right_window = frame.left_bridge, frame.right_bridge
-    if reflected:
-        left_window = ClosedInterval(-left_window.hi, -left_window.lo)
-        right_window = ClosedInterval(-right_window.hi, -right_window.lo)
-    # An oriented point is sign*z for z in the caller's coordinates; the
-    # left offsets are x0 - sign*z and the right offsets sign*z - x0.
-    return _OrientedFrame(
-        gap_len=frame.gap.length,
-        left_reach=x0 - frame.left_bridge.lo,
-        right_reach=frame.right_bridge.length,
-        reflected=reflected,
-        x=sign * x0,
-        left=[affine_image(restrict(s, left_window), -sign, x0) for s in stages],
-        right=[affine_image(restrict(s, right_window), sign, -x0) for s in stages],
-    )
+def _orient_and_frame(stage: CantorStage) -> _OrientedFrame:
+    """Frame the stage at its largest gap (leftmost on ties).  When the right
+    bridge is the longer one, the same gap is read reflected: x is the gap's
+    left endpoint, the left piece is the right bridge under z -> z - x and
+    the right piece the left bridge under z -> x - z, so the reflection
+    always makes the left bridge dominate."""
+    frame = largest_gap_frame(stage)
+    gap, left, right = frame.gap, frame.left_bridge, frame.right_bridge
+    if frame.left_at_least_right:
+        x = gap.hi
+        return _OrientedFrame(gap.length, x - left.lo, right.length, False, x,
+                              _Piece(left, -1, x), _Piece(right, 1, -x))
+    x = gap.lo
+    return _OrientedFrame(gap.length, right.hi - x, left.length, True, x,
+                          _Piece(right, 1, -x), _Piece(left, -1, x))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +432,8 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     The middle point is an endpoint of the largest gap, on the side opposite
     the longer bridge.  Every point of the returned t-enclosure gives a
     genuine progression through all certified depths: both offsets live in
-    exact stage intersections, with no rounding anywhere.
+    the exact intersection of the deepest pieces, which the stages' nesting
+    puts inside every coarser one, with no rounding anywhere.
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
@@ -449,13 +441,14 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     if tau < 1:
         raise HypothesisError(f"3-AP search requires thickness >= 1, got {tau}")
 
-    fr = _orient_and_frame(family.stages(0, max_depth))
+    deep = family.stage(max_depth)
+    fr = _orient_and_frame(deep)
     if not (0 < fr.gap_len <= fr.right_reach <= fr.left_reach):
         raise InternalContradictionError(
             f"bridge inequalities failed: gap {fr.gap_len}, right {fr.right_reach}, "
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
-    t_enc = persistent_intersect(fr.left, fr.right, check=False).chain[-1]
+    t_enc = persistent_intersect([fr.left.of(deep)], [fr.right.of(deep)], check=False).chain[-1]
     return _verified_witness("3-AP", family, max_depth, fr.x, t_enc, t_enc)
 
 
@@ -485,6 +478,8 @@ class SearchConfig:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, to_rational(v))
+        if self.delta is not None and self.delta <= 0:
+            raise DomainError("delta must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
 
@@ -627,7 +622,7 @@ def _attempt_config(
                 f"extracted family lost thickness at level {piece.depth}"
             )
 
-    fr = _orient_and_frame(sub_stages)
+    fr = _orient_and_frame(sub_stages[-1])
     gap_len, left_reach, right_reach = fr.gap_len, fr.left_reach, fr.right_reach
     if not (tau * gap_len <= right_reach and tau * gap_len <= left_reach - gap_len):
         raise InternalContradictionError(
@@ -655,13 +650,14 @@ def _attempt_config(
             "frame bound {} < {} < {} failed despite validated bounds".format(*frame)
         )
 
-    image_stages: list[CantorStage] = []
+    # Every level's image is thickness-checked; the loop ends on the deepest,
+    # the only one intersected: the stages nest, so it meets every coarser one.
     image_thickness_min: Optional[Fraction] = None
-    for stage in source:
-        image_stage = _polynomial_image(stage, poly.coeffs)
-        image_stages.append(image_stage)
-        if image_stage.count >= 2:
-            tv = thickness(image_stage).value
+    for stage in sub_stages:
+        t_piece = source.of(stage)
+        image = _polynomial_image(t_piece, poly.coeffs)
+        if image.count >= 2:
+            tv = thickness(image).value
             if tv <= rho * tau:
                 raise _RetryDelta(
                     f"image stage thickness {tv} at level {stage.depth} "
@@ -672,11 +668,11 @@ def _attempt_config(
     if image_thickness_min is None:
         raise _RetryDelta("image stages never developed a bounded gap")
 
-    deepest = persistent_intersect(target, image_stages, check=False).chain[-1]
-    k = image_stages[-1]._containing_index(deepest)
+    deepest = persistent_intersect([target.of(sub_stages[-1])], [image], check=False).chain[-1]
+    k = image._containing_index(deepest)
     if k < 0:
         raise InternalContradictionError("deepest common interval left the image stage")
-    source_iv = source[-1]._interval(k)
+    source_iv = t_piece._interval(k)
 
     # ft is exact; t encloses f^-1(ft), which lies inside source_iv, so the
     # clamp to source_iv keeps it nonempty and inside the t piece.

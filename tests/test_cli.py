@@ -332,6 +332,21 @@ def test_stage_file_without_read_permission_is_exit_3(tmp_path, capsys, monkeypa
     assert err == f"cannot open {tmp_path / 'k.json'}: Permission denied\n"
 
 
+def test_deeply_nested_stage_file_is_exit_3(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for verb in (["thickness"], ["render"], ["check-gap-lemma", str(deep)]):
+        code, out, err = run([*verb, str(deep)], capsys)
+        assert (code, out, err) == (3, "", "error: stage JSON is nested too deeply\n")
+
+
+@pytest.mark.parametrize("delta", ["-1", "0"])
+def test_find_config_nonpositive_delta_is_exit_3(capsys, delta):
+    code, out, err = run(["find-config", "--set-family", "middle-alpha:1/5", "--f", "1",
+                          "--delta", delta], capsys)
+    assert (code, out, err) == (3, "", "error: delta must be positive\n")
+
+
 @pytest.mark.parametrize("family", ["random-thick:2:abc", "random-thick:2:", "random-thick:2:1.5"])
 def test_bad_family_seed_is_a_usage_error(capsys, family):
     for argv in (["find-3ap"], ["find-config", "--f", "1"],

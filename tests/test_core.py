@@ -503,3 +503,12 @@ def test_affine_image_matches_naive_arithmetic(seed, tau, degenerate, scale, shi
     assert [(iv.lo, iv.hi) for iv in image.intervals] == pairs
     assert image.allow_degenerate == any(a == b for a, b in pairs)
     assert image.depth == stage.depth
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"depth": 1, "intervals": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["bare", "in-intervals"])
+def test_deeply_nested_stage_json_is_a_domain_error(text):
+    with pytest.raises(DomainError, match="^stage JSON is nested too deeply$"):
+        loads_stage(text)

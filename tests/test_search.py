@@ -38,10 +38,20 @@ from thickset import (
     verify_mvt_bounds,
     verify_witness,
 )
+from thickset import gaplemma, persistent_intersect, search
+from thickset.constructions import _middle_alpha_refiner
+from thickset.core import _polynomial_image
 from thickset.errors import InsufficientDepthError
 from thickset.functions import range_bounds
-from thickset.search import _validate_delta, avoidance_checks, config_gate_thickness
-from conftest import in_middle_thirds, thin_below_family
+from thickset.search import (
+    WITNESS_WIDTH,
+    _orient_and_frame,
+    _shrink_centered,
+    _validate_delta,
+    avoidance_checks,
+    config_gate_thickness,
+)
+from conftest import in_middle_thirds, naive_middle_alpha_children, thin_below_family
 
 GENTLE = FunctionSpec((F(1), F(1, 10)))
 
@@ -581,3 +591,125 @@ def test_avoidance_checks_catch_tampered_parts():
     parts["G4"] = type(parts["G4"])(sq_lo + width, parts["I5"].lo)
     checks = {name: ok for name, ok, _ in avoidance_checks(parts, params.tau, params.eps)}
     assert not checks["squares_of_I2_reflection_inside_G3"]
+
+
+# ---------------------------------------------------------------------------
+# One framing: the searches intersect only the deepest stage's pieces
+# ---------------------------------------------------------------------------
+
+def tie_family(grid: bool) -> RefinableFamily:
+    """Middle thirds of three unit intervals: the deepest stage has tied
+    largest gaps (1, 2) and (3, 4), the left bridge is shorter at the first
+    and longer at the second.  ``grid`` picks the built-in grid refiner, else
+    a per-interval ``ClosedInterval`` refiner."""
+    if grid:
+        refine = _middle_alpha_refiner(F(1, 3))
+    else:
+        def refine(iv, _depth):
+            return [ClosedInterval(*c) for c in naive_middle_alpha_children(iv.lo, iv.hi, F(1, 3))]
+    return RefinableFamily(make_stage([(0, 1), (2, 3), (4, 5)]), refine)
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid-refiner", "interval-refiner"])
+def test_find_3ap_tied_largest_gaps_frames_the_leftmost(grid):
+    family = tie_family(grid)
+    w = find_3ap(family, max_depth=3)
+    assert verify_witness(family, w)["ok"]
+    # The leftmost gap (1, 2), read reflected: x is its left endpoint.
+    assert w.x == 1 and w.t == ClosedInterval(F(1), F(1))
+
+
+def _oracle_chain(frame, stages, f=None):
+    """The per-level certificate: both pieces mapped at every level, the t
+    piece through f when given, and intersected level by level."""
+    if f is None:
+        return persistent_intersect([frame.left.of(s) for s in stages],
+                                    [frame.right.of(s) for s in stages], check=False).chain
+    source, target = (frame.right, frame.left) if frame.reflected else (frame.left, frame.right)
+    coeffs = f.polynomial().coeffs
+    images = [_polynomial_image(source.of(s), coeffs) for s in stages]
+    return persistent_intersect([target.of(s) for s in stages], images, check=False).chain
+
+
+_3AP_ORACLE_CASES = {
+    "middle-thirds": lambda: middle_alpha_family(F(1, 3)),
+    "middle-fifth": lambda: middle_alpha_family(F(1, 5)),
+    "random-thick": lambda: random_thick_family(RandomThickSpec(F(2), 0, 7)),
+    "affine-minus-one": lambda: AffineFamily(random_thick_family(RandomThickSpec(F(2), 0, 1)),
+                                             F(-1), F(0)),
+    "affine-minus-two-thirds": lambda: AffineFamily(middle_alpha_family(F(1, 5)), F(-2, 3), F(1)),
+    "right-heavy": right_heavy_family,
+    "tie": lambda: tie_family(True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_3AP_ORACLE_CASES))
+def test_find_3ap_matches_the_per_level_chain(case, monkeypatch):
+    family = _3AP_ORACLE_CASES[case]()
+    calls = []
+    real = gaplemma.intersect
+    monkeypatch.setattr(gaplemma, "intersect", lambda a, b: calls.append(1) or real(a, b))
+    w = find_3ap(family, max_depth=8)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    chain = _oracle_chain(_orient_and_frame(family.stage(8)), family.stages(0, 8))
+    assert w.t == chain[-1]
+
+
+_CONFIG_ORACLE_CASES = {
+    "middle-fifth": (lambda: middle_alpha_family(F(1, 5)), False),
+    "random-thick": (lambda: random_thick_family(RandomThickSpec(F(3, 2), 0, 7)), False),
+    "affine-minus-one": (lambda: AffineFamily(right_heavy_family(), F(-1), F(0)), False),
+    "affine-minus-two-thirds": (
+        lambda: AffineFamily(random_thick_family(RandomThickSpec(F(2), 0, 1)), F(-2, 3), F(1)),
+        True,
+    ),
+    "right-heavy": (right_heavy_family, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ORACLE_CASES))
+def test_find_config_matches_the_per_level_chain(case, monkeypatch):
+    make, reflected = _CONFIG_ORACLE_CASES[case]
+    family, levels = make(), 8
+    seen = {"extract": [], "frame": [], "deepest": [], "restrict": []}
+
+    def spy(name, fn, pick=lambda result: result):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen[name].append(pick(result))
+            return result
+        monkeypatch.setattr(search, fn.__name__, wrapped)
+
+    spy("extract", search.subset_extract)
+    spy("frame", search._orient_and_frame)
+    spy("deepest", search.persistent_intersect, lambda result: result.chain[-1])
+    real_restrict = search.restrict
+    monkeypatch.setattr(search, "restrict",
+                        lambda stage, window: seen["restrict"].append(window)
+                        or real_restrict(stage, window))
+    res = find_config(family, GENTLE, SearchConfig(max_depth=levels))
+    monkeypatch.undo()
+
+    assert res.reflected == reflected
+    assert verify_witness(family, res.witness, GENTLE)["ok"]
+    # One intersection and one restriction of the f(t) piece per attempt;
+    # the t piece is mapped at every level for the image-thickness check.
+    attempts = len(seen["frame"])
+    assert len(seen["deepest"]) == attempts
+    for frame in seen["frame"]:
+        source, target = (frame.right, frame.left) if frame.reflected else (frame.left, frame.right)
+        assert seen["restrict"].count(target.window) == 1
+        assert seen["restrict"].count(source.window) == levels + 1
+    assert len(seen["restrict"]) == attempts * (levels + 2)
+
+    sub, frame = seen["extract"][-1], seen["frame"][-1]
+    chain = _oracle_chain(frame, sub.stages(0, levels), GENTLE)
+    assert seen["deepest"][-1] == chain[-1]
+    assert res.witness.ft == _shrink_centered(chain[-1], WITNESS_WIDTH)
+
+
+def test_search_config_rejects_a_nonpositive_delta():
+    for delta in (-1, 0, F(-1, 3)):
+        with pytest.raises(DomainError, match="^delta must be positive$"):
+            SearchConfig(delta=delta)
