@@ -40,7 +40,8 @@ from .constructions import (
     random_thick_family,
 )
 from .core import (
-    all_bridge_reports,
+    _bridge_reports_json,
+    _json_text,
     dumps_stage,
     loads_stage,
     rational_str,
@@ -247,7 +248,7 @@ def _cmd_thickness(args) -> int:
     value, argmin = thickness(stage)
     if args.as_json:
         payload = {"thickness": rational_str(value), "argmin": argmin.to_json()}
-        _write_out(json.dumps(payload, indent=2), args.out)
+        _write_out(_json_text(payload), args.out)
     else:
         text = (
             f"{rational_str(value)}\n"
@@ -260,8 +261,7 @@ def _cmd_thickness(args) -> int:
 
 def _cmd_bridges(args) -> int:
     stage = _load_stage_file(args.stage)
-    reports = [r.to_json() for r in all_bridge_reports(stage)]
-    _write_out(json.dumps({"reports": reports}, indent=2), args.out)
+    _write_out(_json_text({"reports": _bridge_reports_json(stage)}), args.out)
     return 0
 
 
@@ -274,7 +274,7 @@ def _cmd_check_gap_lemma(args) -> int:
         "verdict": verdict.to_json(),
         "intersection": None if witness is None else witness.to_json(),
     }
-    _write_out(json.dumps(payload, indent=2), args.out)
+    _write_out(_json_text(payload), args.out)
     return 0
 
 
@@ -282,7 +282,7 @@ def _cmd_find_3ap(args) -> int:
     _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
     witness = find_3ap(family, max_depth=args.max_depth)
-    _write_out(json.dumps(witness.to_json(), indent=2), args.out)
+    _write_out(_json_text(witness.to_json()), args.out)
     return 0
 
 
@@ -302,7 +302,7 @@ def _cmd_find_config(args) -> int:
         f"delta {rational_str(result.delta)}, reflected {result.reflected}",
         file=sys.stderr,
     )
-    _write_out(json.dumps(result.witness.to_json(), indent=2), args.out)
+    _write_out(_json_text(result.witness.to_json()), args.out)
     return 0
 
 
@@ -329,16 +329,14 @@ def _cmd_counterexample(args) -> int:
         payload["tau"] = rational_str(params.tau)
         payload["eps"] = rational_str(params.eps)
         payload["c"] = rational_str(params.c)
-        with open(args.parts, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_out(_json_text(payload), args.parts)
     return 0
 
 
 def _cmd_verify_counterexample(args) -> int:
     params = _counterexample_params(args)
     report = verify_counterexample(params, thickness_tol=args.tol)
-    _write_out(json.dumps(report.to_json(), indent=2), args.out)
+    _write_out(_json_text(report.to_json()), args.out)
     return 0 if report.all_passed else 1
 
 
@@ -417,7 +415,7 @@ def _cmd_sweep(args) -> int:
                                                rational_str(window.upper)],
         "results": results,
     }
-    _write_out(json.dumps(payload, indent=2), args.out)
+    _write_out(_json_text(payload), args.out)
     return 0
 
 
@@ -459,7 +457,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     except json.JSONDecodeError as exc:
-        print(f"JSON parse error at byte {exc.pos}: {exc.msg}", file=sys.stderr)
+        offset = len(exc.doc[:exc.pos].encode("utf-8"))  # pos counts characters
+        print(f"JSON parse error at byte {offset}: {exc.msg}", file=sys.stderr)
         return USAGE_EXIT
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)

@@ -43,6 +43,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # C when _json is built
 from operator import eq, le, lt, ne
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -542,6 +543,21 @@ def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     return [_bridge_report(interval, row) for row in _bridge_rows(stage)]
 
 
+def _bridge_reports_json(stage: CantorStage) -> list[dict]:
+    """``[r.to_json() for r in all_bridge_reports(stage)]`` from the bridge
+    rows, each endpoint's text written once off the grid: no report built."""
+    den, lo, hi = stage._grid
+    lo_text = [_rational_text(x, den) for x in lo]
+    hi_text = [_rational_text(x, den) for x in hi]
+    reports = []
+    for i, side, first, last, local in _bridge_rows(stage):
+        a, b = hi_text[i], lo_text[i + 1]
+        endpoint, bridge = (a, [lo_text[first], a]) if side == LEFT else (b, [b, hi_text[last]])
+        reports.append({"endpoint": endpoint, "side": side, "gap": [a, b], "bridge": bridge,
+                        "local_thickness": rational_str(local)})
+    return reports
+
+
 class ThicknessResult(NamedTuple):
     value: Fraction
     argmin: GapBridgeReport
@@ -706,8 +722,43 @@ def stage_from_json(data: dict) -> CantorStage:
     return CantorStage._from_grid(grid, depth, None, any(map(eq, grid[1], grid[2])))
 
 
+def _json_text(value, indent: int | str | None = 2) -> str:
+    """``json.dumps(value, indent=indent)`` byte for byte, without the
+    standard library's pure-Python indented encoder: strings go through the
+    C ``encode_basestring_ascii``, a list of strings is joined in one step,
+    and other scalars and dicts with a non-string key go to ``json.dumps``."""
+    if indent is None:
+        return json.dumps(value)
+    out: list[str] = []
+    _emit_json(value, "\n", indent if isinstance(indent, str) else " " * indent, out.append)
+    return "".join(out)
+
+
+def _emit_json(value, nl: str, pad: str, write) -> None:
+    """Write ``value``'s text after ``nl``, the newline and indent it starts on."""
+    inner = nl + pad
+    if isinstance(value, str):
+        write(_quote(value))
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            write("[" + inner + ("," + inner).join(map(_quote, value)) + nl + "]")
+        except TypeError:  # an item that is not a string
+            for k, item in enumerate(value):
+                write(("," if k else "[") + inner)
+                _emit_json(item, inner, pad, write)
+            write(nl + "]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        for k, (key, item) in enumerate(value.items()):
+            write(("," if k else "{") + inner + _quote(key) + ": ")
+            _emit_json(item, inner, pad, write)
+        write(nl + "}")
+    else:  # JSON strings escape every newline, so each one here is layout
+        write(json.dumps(value, indent=pad).replace("\n", nl))
+
+
 def dumps_stage(stage: CantorStage, indent: int | None = None) -> str:
-    return json.dumps(stage_to_json(stage), indent=indent)
+    """``json.dumps(stage_to_json(stage), indent=indent)``, byte for byte."""
+    return _json_text(stage_to_json(stage), indent)
 
 
 def loads_stage(text: str) -> CantorStage:

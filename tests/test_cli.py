@@ -297,6 +297,18 @@ def test_malformed_json_reports_byte_offset(tmp_path, capsys):
     assert "JSON parse error at byte" in err
 
 
+def test_json_parse_error_offset_counts_bytes(tmp_path, capsys):
+    """The decoder's position counts characters; the report gives the
+    file's byte offset, which a two-byte character before it moves."""
+    text = '{"depth": 1, "note": "\u00e9", "intervals": [["0", "1/3"],'
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run(["thickness", str(bad)], capsys)
+    assert code == 3
+    assert len(text.encode("utf-8")) == len(text) + 1
+    assert err.startswith(f"JSON parse error at byte {len(text) + 1}: ")
+
+
 def test_coerced_stage_json_is_a_domain_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"depth": true, "intervals": [[0.1, "1/3"], ["2/3", 1]]}')
@@ -513,3 +525,42 @@ def test_find_config_tiny_delta_stops_at_the_scan_limit(capsys):
     assert code == 3 and out == ""
     assert err == (f"error: no gap suitable for extraction within 1/1000000000 of the largest "
                    f"gap up to depth {limit} (retry with a larger --delta)\n")
+
+
+# sha256 of every JSON file of a CLI session, taken before the indented
+# writer replaced json.dumps(indent=2): stage files, reports and the sidecar.
+_SESSION_DIGESTS = {
+    "a.json": "0b6bdaabee7f1b3ace8200cad561bdeb0b3b7fedcceea4261fc04d2daccb2e4c",
+    "thickness.json": "8aec989ffabe97639972662fbaa2a3e9296d7df6418bdc677f49f2ae72c00d1a",
+    "gap-lemma.json": "a46fbc8f7ca694138d91b5646f78d3758eba23bb2d9ef15a984c12c5fac22c20",
+    "3ap.json": "72f19a513894cbe32f638866a8f8b88f5e7af8d92929335d80937b491ec377c1",
+    "cx.json": "7b54961575ccb725771944dccb62d9ce897c12cd2596e043bb30305c74582d87",
+    "cx-parts.json": "35dbd22941d46e80db8495607e5e77b5d8d218f349f0248d20793082bf3ecc42",
+    "cx-verify.json": "0abcc70ff6ee389ed24e55002ec70bc832e2f17ef4494a400712e9a1205e2059",
+}
+
+
+@pytest.fixture(scope="module")
+def session_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("session")
+    cx = ["--tau", "101/100", "--eps", "1/400"]
+    for argv in (
+        ["construct", "--random-thick", "3/2", "--depth", "9", "--seed", "1", "--out", "a.json"],
+        ["construct", "--random-thick", "2", "--depth", "9", "--seed", "2", "--out", "b.json"],
+        ["thickness", "--json", "a.json", "--out", "thickness.json"],
+        ["check-gap-lemma", "a.json", "b.json", "--out", "gap-lemma.json"],
+        ["find-3ap", "--set-family", "random-thick:3/2:1", "--max-depth", "9",
+         "--out", "3ap.json"],
+        ["counterexample", *cx, "--out", "cx.json", "--parts", "cx-parts.json"],
+        ["verify-counterexample", *cx, "--out", "cx-verify.json"],
+    ):
+        paths = [str(d / a) if a.endswith(".json") else a for a in argv]
+        assert main(paths) == 0, argv
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(_SESSION_DIGESTS))
+def test_session_json_bytes_are_pinned(session_dir, name):
+    text = (session_dir / name).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _SESSION_DIGESTS[name]

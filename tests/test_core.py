@@ -24,7 +24,7 @@ from thickset import (
     restrict,
     thickness,
 )
-from thickset.core import _rational_text
+from thickset.core import _bridge_reports_json, _json_text, _rational_text
 from conftest import (
     brute_local_thickness,
     brute_thickness,
@@ -215,6 +215,7 @@ def test_bridge_reports_against_brute_oracle(stage):
     assert _bridge_or_text(stage, probes[0], "up") == "side must be 'left' or 'right', got 'up'"
     reports = all_bridge_reports(stage)
     assert len(reports) == 2 * (stage.count - 1)
+    assert _bridge_reports_json(stage) == [r.to_json() for r in reports]
     ivs = stage.intervals
     ends = {"left": {iv.hi for iv in ivs[:-1]}, "right": {iv.lo for iv in ivs[1:]}}
     for (x, side), answer in answers.items():
@@ -362,6 +363,43 @@ def test_json_format_shape():
     assert data == {"depth": 1, "intervals": [["0", "1/3"], ["2/3", "1"]]}
     parsed = loads_stage('{"depth": 1, "intervals": [["0", "1/3"], ["2/3", "1"]]}')
     assert parsed.intervals == stage.intervals
+
+
+@pytest.mark.parametrize("stage", [
+    random_stage(3, depth=6),
+    loads_stage(dumps_stage(random_stage(4, tau=F(2), depth=5))),
+    middle_alpha_family(F(1, 5)).stage(5),
+    make_stage([(F(-1, 7), F(1, 9)), (F(1, 3), F(2, 5)), (F(5, 9), F(3, 4)), (F(9, 10), 2)]),
+    CantorStage((ClosedInterval(F(0), F(1, 3)), ClosedInterval(F(1, 2), F(1, 2)),
+                 ClosedInterval(F(2, 3), F(1))), allow_degenerate=True),
+    make_stage([(0, F(1, 3)), (F(2, 3), 1)]),
+    make_stage([(0, 1)]),
+], ids=["random-thick", "random-thick-loaded", "middle-alpha", "mixed-denominators",
+        "point-interval", "two-intervals", "one-interval"])
+def test_bridge_reports_json_matches_the_reports(stage):
+    assert _bridge_reports_json(stage) == [r.to_json() for r in all_bridge_reports(stage)]
+    assert (_bridge_reports_json(stage) == []) == (stage.count == 1)
+
+
+_json_strings = st.text(
+    st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _json_strings
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(_json_strings, max_size=4)
+                   | st.dictionaries(_json_strings, inner, max_size=4)
+                   | st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats(),
+                                     inner, max_size=3)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values, st.sampled_from([0, 2, 4, "\t"]))
+def test_json_writer_matches_json_dumps(value, indent):
+    assert _json_text(value, indent) == json.dumps(value, indent=indent)
+    assert _json_text(value, None) == json.dumps(value)
 
 
 def test_json_malformed_rejected():
