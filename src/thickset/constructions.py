@@ -31,6 +31,7 @@ from .core import (
     RationalLike,
     _endpoint_index,
     _rational_text,
+    _require_int,
     affine_image,
     restrict,
     thickness,
@@ -130,6 +131,7 @@ class RefinableFamily(StageFamily):
         self.name = name
 
     def stage(self, depth: int) -> CantorStage:
+        _require_int("family depth", depth)
         if depth < 0:
             raise DomainError("family depth must be nonnegative")
         while len(self._cache) <= depth:
@@ -302,6 +304,8 @@ class RandomThickSpec:
             object.__setattr__(self, "gap_placement", gp)
         if self.target_tau <= 0:
             raise DomainError("target_tau must be positive")
+        _require_int("depth", self.depth)
+        _require_int("seed", self.seed)
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if not 0 <= self.seed < 2 ** 64:

@@ -73,6 +73,12 @@ def to_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _require_int(name: str, value) -> None:
+    """Depths and seeds are ints: a bool or a float is refused, never coerced."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def rational_str(value: Fraction) -> str:
     """Lowest-terms string form, e.g. '2/3', '-1/2', '4'."""
     return str(value)
@@ -302,6 +308,7 @@ class CantorStage:
                 raise DomainError(
                     f"zero-length interval {self._interval(k)} in a non-degenerate stage"
                 )
+        _require_int("stage depth", self.depth)
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
         if self.parent is not None:
@@ -706,8 +713,7 @@ def stage_from_json(data: dict) -> CantorStage:
     try:
         depth = data["depth"]
         pairs = data["intervals"]
-        if type(depth) is not int:
-            raise DomainError(f"stage depth must be an integer, got {depth!r}")
+        _require_int("stage depth", depth)
         ends = []
         for lo, hi in pairs:
             (a, p), (b, q) = _token_ratio(lo), _token_ratio(hi)

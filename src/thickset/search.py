@@ -24,8 +24,9 @@ Three finders, all exact or certified:
 and the two differ only in their hypothesis gates, their bridge inequalities
 and the map f applied to the piece that carries t.
 
-Every witness carries nested membership chains and replays independently via
-``verify_witness``.
+Each finder walks a witness's chains once, and the ``ConfigWitness``
+constructor and the finder's coupling check of ``ft`` to f(t) certify it;
+``verify_witness`` is the replay against the family and f, not a self-check.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     RationalLike,
     _endpoint_index,
     _polynomial_image,
+    _require_int,
     affine_image,
     bridge_at,
     rational_str,
@@ -232,13 +234,14 @@ Chain = tuple[ClosedInterval, ...]
 class ConfigWitness:
     """A certified configuration {x - t, x, x + f(t)}.
 
-    ``t`` and ``ft`` are rational enclosures with ``t.lo > 0``; ``chains``
-    holds one nested interval chain per configuration point (left, middle,
-    right), each entry an interval of the stage at that depth containing the
-    corresponding enclosure.  The certificate reads: for every s in the
+    ``t`` and ``ft`` are rational enclosures; ``chains`` holds one interval
+    chain per configuration point (left, middle, right), entry d an interval
+    of the stage at depth d.  The certificate reads: for every s in the
     ``ft`` enclosure there is a matching offset t* in the ``t`` enclosure
     with f(t*) = s, and the three points x - t*, x, x + s lie in every stage
-    down to ``depth``.
+    down to ``depth``.  The constructor proves t.lo > 0, nested chains and a
+    deepest link holding its point enclosure, so every link holds it; only
+    ``verify_witness`` shows that the links are the family's and ft is f(t).
     """
 
     x: Fraction
@@ -291,13 +294,11 @@ def verify_witness(
 ) -> dict:
     """Replay a witness against its family; returns {'ok': bool, 'failures': [...]}.
 
-    Checks: positivity of t, the coupling ft within f(t-enclosure), chain
-    entries matching the family's stage intervals verbatim, nesting, and
-    containment of each point enclosure at every depth.
+    Checks what the ``ConfigWitness`` constructor cannot: ft within f(t
+    enclosure) when ``f`` is given, each chain's length, and each chain
+    entry by entry against the family's stage intervals.
     """
     failures: list[str] = []
-    if witness.t.lo <= 0:
-        failures.append("t.lo <= 0")
     if f is not None:
         flo = eval_function(f, witness.t.lo)
         fhi = eval_function(f, witness.t.hi)
@@ -311,30 +312,18 @@ def verify_witness(
             )
             continue
         try:
-            expected = family.interval_chain(enc, witness.depth)
+            if list(chain) != family.interval_chain(enc, witness.depth):
+                failures.append(f"{name} chain does not match the family's stage intervals")
         except DomainError as exc:
             failures.append(f"{name} enclosure escapes the family: {exc}")
-            continue
-        if list(chain) != expected:
-            failures.append(f"{name} chain does not match the family's stage intervals")
-        for d, link in enumerate(chain):
-            if not link.contains_interval(enc):
-                failures.append(f"{name} chain entry at depth {d} misses the enclosure")
-                break
-        for deeper, coarser in zip(chain[1:], chain):
-            if not coarser.contains_interval(deeper):
-                failures.append(f"{name} chain is not nested")
-                break
     return {"ok": not failures, "failures": failures}
 
 
-def _verified_witness(kind: str, family: StageFamily, max_depth: int, x: Fraction,
-                      t: ClosedInterval, ft: ClosedInterval,
-                      f: Optional[FunctionSpec] = None) -> ConfigWitness:
-    """The finders' last step: the membership chains of the three point
-    enclosures, replayed by ``verify_witness``.  The finders build every
-    enclosure inside stage intervals, so one that leaves the family, or a
-    witness that fails its own replay, is a bug."""
+def _witness(family: StageFamily, max_depth: int, x: Fraction,
+             t: ClosedInterval, ft: ClosedInterval) -> ConfigWitness:
+    """The finders' last step: one ``interval_chain`` walk per point
+    enclosure.  The finders build every enclosure inside stage intervals, so
+    one that leaves the family is a bug."""
     try:
         chains = tuple(
             tuple(family.interval_chain(enc, max_depth))
@@ -342,13 +331,7 @@ def _verified_witness(kind: str, family: StageFamily, max_depth: int, x: Fractio
         )
     except DomainError as exc:
         raise InternalContradictionError(f"witness point left the family: {exc}") from exc
-    witness = ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
-    failures = verify_witness(family, witness, f)["failures"]
-    if failures:
-        raise InternalContradictionError(
-            f"{kind} witness failed self-verification: " + "; ".join(failures)
-        )
-    return witness
+    return ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +418,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     the exact intersection of the deepest pieces, which the stages' nesting
     puts inside every coarser one, with no rounding anywhere.
     """
+    _require_int("max_depth", max_depth)
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
     tau = thickness_floor(family, max_depth)
@@ -449,7 +433,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
     t_enc = persistent_intersect([fr.left.of(deep)], [fr.right.of(deep)], check=False).chain[-1]
-    return _verified_witness("3-AP", family, max_depth, fr.x, t_enc, t_enc)
+    return _witness(family, max_depth, fr.x, t_enc, t_enc)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +464,7 @@ class SearchConfig:
                 object.__setattr__(self, name, to_rational(v))
         if self.delta is not None and self.delta <= 0:
             raise DomainError("delta must be positive")
+        _require_int("max_depth", self.max_depth)
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
 
@@ -681,11 +666,11 @@ def _attempt_config(
     t_lo = monotone_inverse(f, ft_enc.lo, bracket, _INVERSE_PRECISION).lo
     t_hi = monotone_inverse(f, ft_enc.hi, bracket, _INVERSE_PRECISION).hi
     t_enc = ClosedInterval(max(t_lo, source_iv.lo), min(t_hi, source_iv.hi))
+    if not (poly(t_enc.lo) <= ft_enc.lo and ft_enc.hi <= poly(t_enc.hi)):
+        raise InternalContradictionError("ft enclosure is not within f(t enclosure)")
 
-    witness = _verified_witness("configuration", family, sub.depth_offset + levels, fr.x,
-                                t_enc, ft_enc, f)
     return FindConfigResult(
-        witness=witness,
+        witness=_witness(family, sub.depth_offset + levels, fr.x, t_enc, ft_enc),
         tau=tau,
         rho=rho,
         epsilon=eps,

@@ -11,11 +11,14 @@ from thickset import (
     CantorStage,
     ClosedInterval,
     DomainError,
+    RandomThickSpec,
+    SearchConfig,
     affine_image,
     all_bridge_reports,
     bounded_gaps,
     bridge_at,
     dumps_stage,
+    find_3ap,
     gaps,
     loads_stage,
     make_stage,
@@ -550,3 +553,49 @@ def test_affine_image_matches_naive_arithmetic(seed, tau, degenerate, scale, shi
 def test_deeply_nested_stage_json_is_a_domain_error(text):
     with pytest.raises(DomainError, match="^stage JSON is nested too deeply$"):
         loads_stage(text)
+
+
+# ---------------------------------------------------------------------------
+# Depths and seeds at the library edge: ints only, never a bool or a float
+# ---------------------------------------------------------------------------
+
+_UNIT = (ClosedInterval(F(0), F(1)),)
+_INT_ENTRIES = {
+    "make_stage": ("stage depth", lambda v: make_stage([(0, 1)], depth=v)),
+    "CantorStage": ("stage depth", lambda v: CantorStage(_UNIT, depth=v)),
+    "CantorStage._from_grid": ("stage depth", lambda v: CantorStage._from_grid((1, [0], [1]), v)),
+    "RefinableFamily.stage": ("family depth", lambda v: middle_alpha_family(F(1, 3)).stage(v)),
+    "RandomThickSpec.depth": ("depth", lambda v: RandomThickSpec(2, v, 0)),
+    "RandomThickSpec.seed": ("seed", lambda v: RandomThickSpec(2, 2, v)),
+    "SearchConfig.max_depth": ("max_depth", lambda v: SearchConfig(max_depth=v)),
+    "find_3ap.max_depth": ("max_depth",
+                           lambda v: find_3ap(middle_alpha_family(F(1, 3)), max_depth=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 0.0, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("entry", list(_INT_ENTRIES))
+def test_bool_and_float_depths_and_seeds_are_refused(entry, value):
+    name, call = _INT_ENTRIES[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=64),
+                min_size=2, max_size=10, unique=True),
+       st.one_of(st.integers(-2, 60), st.booleans(),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_every_stage_the_constructors_accept_round_trips(points, depth):
+    ends = sorted(points)
+    pairs = list(zip(ends[::2], ends[1::2]))
+    base = make_stage(pairs)
+    builds = (lambda: make_stage(pairs, depth=depth),
+              lambda: CantorStage(base.intervals, depth=depth),
+              lambda: CantorStage._from_grid(base._grid, depth))
+    for build in builds:
+        try:
+            stage = build()
+        except DomainError:
+            continue
+        assert loads_stage(dumps_stage(stage)) == stage

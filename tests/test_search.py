@@ -41,7 +41,7 @@ from thickset import (
 from thickset import gaplemma, persistent_intersect, search
 from thickset.constructions import _middle_alpha_refiner
 from thickset.core import _polynomial_image
-from thickset.errors import InsufficientDepthError
+from thickset.errors import InsufficientDepthError, InternalContradictionError
 from thickset.functions import range_bounds
 from thickset.search import (
     WITNESS_WIDTH,
@@ -713,3 +713,101 @@ def test_search_config_rejects_a_nonpositive_delta():
     for delta in (-1, 0, F(-1, 3)):
         with pytest.raises(DomainError, match="^delta must be positive$"):
             SearchConfig(delta=delta)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses: built once, checked by the constructor, replayed by verify_witness
+# ---------------------------------------------------------------------------
+
+def _gentle_witness():
+    fam = middle_alpha_family(F(1, 5))
+    return fam, find_config(fam, GENTLE, SearchConfig(max_depth=8)).witness
+
+
+def _with_chain(w, index, chain):
+    chains = list(w.chains)
+    chains[index] = tuple(chain)
+    return ConfigWitness(x=w.x, t=w.t, ft=w.ft, depth=w.depth, chains=tuple(chains))
+
+
+def test_replay_names_ft_moved_off_f_of_t():
+    fam, w = _gentle_witness()
+    # Just past f(t.hi): every chain link still holds its point.
+    move = GENTLE.polynomial()(w.t.hi) - w.ft.hi + F(1, 10 ** 30)
+    ft = ClosedInterval(w.ft.lo + move, w.ft.hi + move)
+    tampered = ConfigWitness(x=w.x, t=w.t, ft=ft, depth=w.depth, chains=w.chains)
+    assert verify_witness(fam, tampered, GENTLE)["failures"] == [
+        "ft enclosure is not within f(t enclosure)"
+    ]
+
+
+def test_replay_names_a_chain_without_its_deepest_link():
+    fam, w = _gentle_witness()
+    tampered = _with_chain(w, 0, w.chains[0][:-1])
+    assert verify_witness(fam, tampered, GENTLE)["failures"] == [
+        f"left chain has {w.depth} entries, expected {w.depth + 1}"
+    ]
+
+
+def test_witness_with_a_link_swapped_for_its_sibling_is_refused():
+    fam, w = _gentle_witness()
+    chain = list(w.chains[2])
+    d = w.depth // 2
+    (sibling,) = [iv for iv in fam.stage(d).intervals
+                  if chain[d - 1].contains_interval(iv) and iv != chain[d]]
+    chain[d] = sibling
+    with pytest.raises(DomainError, match="witness chains must be nested"):
+        _with_chain(w, 2, chain)
+
+
+def test_replay_names_a_widened_link_that_still_nests():
+    fam, w = _gentle_witness()
+    chain = list(w.chains[1])
+    d = w.depth // 2
+    parent, link = chain[d - 1], chain[d]
+    chain[d] = (ClosedInterval(parent.lo, link.hi) if parent.lo < link.lo
+                else ClosedInterval(link.lo, parent.hi))
+    tampered = _with_chain(w, 1, chain)
+    assert verify_witness(fam, tampered, GENTLE)["failures"] == [
+        "middle chain does not match the family's stage intervals"
+    ]
+
+
+def test_find_config_refuses_an_inverse_off_ft(monkeypatch):
+    inverse = search.monotone_inverse
+
+    def shifted(*args):
+        enc = inverse(*args)
+        return ClosedInterval(enc.lo + F(1, 2 ** 60), enc.hi + F(1, 2 ** 60))
+
+    monkeypatch.setattr(search, "monotone_inverse", shifted)
+    with pytest.raises(InternalContradictionError,
+                       match=r"ft enclosure is not within f\(t enclosure\)"):
+        find_config(middle_alpha_family(F(1, 5)), GENTLE, SearchConfig(max_depth=8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: middle_alpha_family(F(1, 5)),
+    lambda: random_thick_family(RandomThickSpec(F(2), 0, 1)),
+    lambda: AffineFamily(random_thick_family(RandomThickSpec(F(2), 0, 1)), F(-2, 3), F(1)),
+    right_heavy_family,
+], ids=["middle-alpha", "random-thick", "affine-scale-minus-2/3", "user-refiner"])
+def test_searches_walk_each_witness_chain_once_and_never_replay(make, monkeypatch):
+    def replay(*_args, **_kwargs):
+        raise AssertionError("a search replayed its own witness")
+
+    monkeypatch.setattr(search, "verify_witness", replay)
+    for run in (lambda fam: find_3ap(fam, max_depth=6),
+                lambda fam: find_config(fam, GENTLE, SearchConfig(max_depth=6)).witness):
+        family = make()
+        walks = []
+        walk = family.interval_chain
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(family, "interval_chain", spy)
+        w = run(family)
+        assert len(walks) == 3
+        assert [enc for enc, _ in walks] == list(w.point_enclosures())
