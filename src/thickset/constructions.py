@@ -82,9 +82,10 @@ class _GridRefiner:
     ``cut(x, y, den, depth)`` takes interval [x/den, y/den] of a grid over
     any denominator ``den`` and returns the integers (a, b) that split it
     into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
-    applies the formula to a whole stage grid and builds the child stage
-    from the child grid alone; calling the object is the per-interval
-    refiner, with validated children, that ``interval_chain`` walks.
+    applies the formula to a whole stage grid at the stage's depth and
+    builds the child stage, nested by construction, from the child grid
+    alone; calling the object is the per-interval refiner, with validated
+    children, that ``interval_chain`` walks.
     """
 
     def __init__(self, factor: int, cut: Callable[[int, int, int, int], tuple[int, int]]):
@@ -97,16 +98,18 @@ class _GridRefiner:
         den = ld * hd * self.factor
         return [ClosedInterval(iv.lo, Fraction(a, den)), ClosedInterval(Fraction(b, den), iv.hi)]
 
-    def refine(self, parent: CantorStage, depth: int) -> CantorStage:
+    def refine(self, parent: CantorStage) -> CantorStage:
         den, lo, hi = parent._grid
-        m, cut = self.factor, self.cut
+        m, cut, depth = self.factor, self.cut, parent.depth
         clo: list[int] = []
         chi: list[int] = []
         for x, y in zip(lo, hi):
             a, b = cut(x, y, den, depth)
             clo += (x * m, b)
             chi += (a, y * m)
-        return CantorStage._from_grid((den * m, clo, chi), parent.depth + 1, parent)
+        # [x*m, a] and [b, y*m] pass the order and disjointness checks only if
+        # x*m <= a < b <= y*m, inside [x, y]: a nesting check could never fail.
+        return CantorStage._from_grid((den * m, clo, chi), depth + 1)
 
 
 class RefinableFamily(StageFamily):
@@ -114,10 +117,11 @@ class RefinableFamily(StageFamily):
 
     The refiner maps (interval, depth) to the child intervals it splits
     into; children must stay inside the interval and keep its endpoints so
-    that gaps only ever get added, never moved.  The built-in constructions
-    refine a whole stage grid at once; any other refiner's children are
-    validated ``ClosedInterval``s and build their stage through the public
-    constructor.
+    that gaps only ever get added, never moved; it is called with the depth
+    of the stage it refines, counted from the root's own.  The built-in
+    constructions refine a whole stage grid at once; any other refiner's
+    children are validated ``ClosedInterval``s whose stage ``stage`` builds
+    through the public constructor and checks for nesting in its parent.
     """
 
     def __init__(self, root: CantorStage, refine_interval: IntervalRefiner, name: str = "",
@@ -125,9 +129,6 @@ class RefinableFamily(StageFamily):
         self._cache: list[CantorStage] = [root]
         self.thickness_bound = thickness_bound
         self._refine = refine_interval
-        # Added to a stage's depth to give the depth the refiner is called
-        # with: nonzero for the local family of a RestrictedFamily.
-        self._depth_shift = 0
         self.name = name
 
     def stage(self, depth: int) -> CantorStage:
@@ -136,28 +137,28 @@ class RefinableFamily(StageFamily):
             raise DomainError("family depth must be nonnegative")
         while len(self._cache) <= depth:
             parent = self._cache[-1]
-            at = parent.depth + self._depth_shift
             if isinstance(self._refine, _GridRefiner):
-                child = self._refine.refine(parent, at)
+                child = self._refine.refine(parent)
             else:
                 children: list[ClosedInterval] = []
                 for iv in parent.intervals:
-                    children.extend(self._refine(iv, at))
-                child = CantorStage(tuple(children), depth=parent.depth + 1, parent=parent)
+                    children.extend(self._refine(iv, parent.depth))
+                child = CantorStage(tuple(children), depth=parent.depth + 1)
+                child.check_nested_in(parent)
             self._cache.append(child)
         return self._cache[depth]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         """Walk down refining only the containing interval: avoids
         materializing exponentially large deep stages."""
-        root_depth = self._cache[0].depth + self._depth_shift
-        host = self._cache[0].interval_containing(enclosure)
+        root = self._cache[0]
+        host = root.interval_containing(enclosure)
         if host is None:
             raise DomainError(f"enclosure {enclosure} is outside the root stage")
         chain = [host]
         for d in range(max_depth):
             nxt = None
-            for child in self._refine(host, root_depth + d):
+            for child in self._refine(host, root.depth + d):
                 if child.contains_interval(enclosure):
                     nxt = child
                     break
@@ -172,7 +173,8 @@ class RefinableFamily(StageFamily):
 
 class RestrictedFamily(StageFamily):
     """View of a family intersected with a fixed window, optionally
-    re-indexed so depth 0 maps to a deeper base stage.
+    re-indexed so index 0 is the base stage at ``depth_offset``; each stage
+    keeps its depth in the base family, ``depth_offset`` plus its index.
 
     When the base refines intervals independently and the window spans whole
     intervals of the offset stage, the restriction refines locally: deep
@@ -185,8 +187,7 @@ class RestrictedFamily(StageFamily):
         self.depth_offset = depth_offset
         self._cache: dict[int, CantorStage] = {}
         self._local: Optional[RefinableFamily] = None
-        refiner = getattr(base, "_refine", None)
-        if refiner is not None and depth_offset >= 0:
+        if isinstance(base, RefinableFamily) and depth_offset >= 0:
             offset_stage = base.stage(depth_offset)
             root = restrict(offset_stage, window)
             # restrict clips only its first and last interval, so the window
@@ -194,26 +195,19 @@ class RestrictedFamily(StageFamily):
             # interval start and ends at an interval end.
             den, lo, hi = offset_stage._grid
             if _endpoint_index(lo, den, root.min) >= 0 and _endpoint_index(hi, den, root.max) >= 0:
-                self._local = RefinableFamily(_at_depth(root, 0), refiner)
-                self._local._depth_shift = offset_stage.depth
+                self._local = RefinableFamily(root, base._refine)
 
     def stage(self, depth: int) -> CantorStage:
         if self._local is not None:
             return self._local.stage(depth)
         if depth not in self._cache:
-            raw = restrict(self.base.stage(depth + self.depth_offset), self.window)
-            self._cache[depth] = _at_depth(raw, depth)
+            self._cache[depth] = restrict(self.base.stage(depth + self.depth_offset), self.window)
         return self._cache[depth]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         if self._local is not None:
             return self._local.interval_chain(enclosure, max_depth)
         return super().interval_chain(enclosure, max_depth)
-
-
-def _at_depth(stage: CantorStage, depth: int) -> CantorStage:
-    """The same grid as a parentless stage of another depth."""
-    return CantorStage._from_grid(stage._grid, depth, None, stage.allow_degenerate)
 
 
 class AffineFamily(StageFamily):

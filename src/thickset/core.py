@@ -216,11 +216,12 @@ class Gap:
 class CantorStage:
     """A finite union of disjoint closed intervals, ordered left to right.
 
-    ``depth`` records the refinement generation, ``parent`` the coarser stage
-    this one refines (each interval must then be contained in a parent
-    interval).  Zero-length intervals are rejected unless the stage is
-    explicitly built with ``allow_degenerate=True`` (exact intersections may
-    legitimately produce isolated points).
+    ``depth`` records the stage's generation in its family.  A stage keeps
+    no link to the stage it refines: nesting belongs to a chain, and
+    ``check_nested_in`` checks it where one is put together.  Zero-length
+    intervals are rejected unless the stage is explicitly built with
+    ``allow_degenerate=True`` (exact intersections may legitimately produce
+    isolated points).
 
     Every stage carries an integer grid ``(den, lo, hi)``: ``den`` is a
     common denominator of the endpoints and ``lo[k] / den``, ``hi[k] / den``
@@ -245,7 +246,6 @@ class CantorStage:
 
     intervals: tuple[ClosedInterval, ...]
     depth: int = 0
-    parent: Optional["CantorStage"] = field(default=None, compare=False, repr=False)
     allow_degenerate: bool = field(default=False, compare=False, repr=False)
     _grid: Grid = field(init=False, compare=False, repr=False)
 
@@ -257,14 +257,13 @@ class CantorStage:
         self._validate()
 
     @classmethod
-    def _from_grid(cls, grid: Grid, depth: int = 0, parent: Optional["CantorStage"] = None,
+    def _from_grid(cls, grid: Grid, depth: int = 0,
                    allow_degenerate: bool = False) -> "CantorStage":
         """A stage from the grid an operation computed: the grid is taken as
         it is, every stage check runs on its ints, and ``intervals`` is
         built on first read."""
         stage = object.__new__(cls)
-        stage.__dict__.update(depth=depth, parent=parent, allow_degenerate=allow_degenerate,
-                              _grid=grid)
+        stage.__dict__.update(depth=depth, allow_degenerate=allow_degenerate, _grid=grid)
         stage._validate()
         return stage
 
@@ -289,7 +288,7 @@ class CantorStage:
     def _validate(self) -> None:
         """The stage checks, on the grid's ints: nonempty, each interval in
         order, disjoint and increasing, no zero length unless degenerate
-        stages are allowed, nonnegative depth, nested in the parent."""
+        stages are allowed, nonnegative depth."""
         _, lo, hi = self._grid
         if not lo:
             raise DomainError("a stage must contain at least one interval")
@@ -311,8 +310,6 @@ class CantorStage:
         _require_int("stage depth", self.depth)
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
-        if self.parent is not None:
-            self.check_nested_in(self.parent)
 
     def _grid_over(self, den: int) -> tuple[list[int], list[int]]:
         """The grid's ``lo`` and ``hi`` over ``den``, a multiple of its own
@@ -385,11 +382,10 @@ class CantorStage:
 def make_stage(
     endpoints: Iterable[tuple[RationalLike, RationalLike]],
     depth: int = 0,
-    parent: Optional[CantorStage] = None,
 ) -> CantorStage:
     """Convenience constructor from (lo, hi) pairs."""
     ivs = tuple(ClosedInterval(to_rational(a), to_rational(b)) for a, b in endpoints)
-    return CantorStage(ivs, depth=depth, parent=parent)
+    return CantorStage(ivs, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +625,7 @@ def restrict(stage: CantorStage, window: ClosedInterval) -> CantorStage:
     chi = [x * m for x in hi[first:last]]
     clo[0] = max(clo[0], wn * (common // wd))
     chi[-1] = min(chi[-1], vn * (common // vd))
-    return CantorStage._from_grid((common, clo, chi), stage.depth, None, any(map(eq, clo, chi)))
+    return CantorStage._from_grid((common, clo, chi), stage.depth, any(map(eq, clo, chi)))
 
 
 def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> CantorStage:
@@ -660,8 +656,7 @@ def _polynomial_image(stage: CantorStage, coeffs: tuple[Fraction, ...]) -> Canto
     lo, hi = horner(lo), horner(hi)
     if lo[0] > hi[-1]:
         lo, hi = hi[::-1], lo[::-1]
-    return CantorStage._from_grid((q * den ** n, lo, hi), stage.depth, None,
-                                  stage.allow_degenerate)
+    return CantorStage._from_grid((q * den ** n, lo, hi), stage.depth, stage.allow_degenerate)
 
 
 def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -> CantorStage:
@@ -725,7 +720,7 @@ def stage_from_json(data: dict) -> CantorStage:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed stage object: {exc}") from exc
     grid = _grid_of(ends)
-    return CantorStage._from_grid(grid, depth, None, any(map(eq, grid[1], grid[2])))
+    return CantorStage._from_grid(grid, depth, any(map(eq, grid[1], grid[2])))
 
 
 def _json_text(value, indent: int | str | None = 2) -> str:

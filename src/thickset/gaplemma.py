@@ -185,7 +185,7 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
             ends.append(end)
     if not starts:
         return None
-    common = CantorStage._from_grid((den, starts, ends), max(k1.depth, k2.depth), None, True)
+    common = CantorStage._from_grid((den, starts, ends), max(k1.depth, k2.depth), True)
     return IntersectionWitness(common=common, sample_point=_widest(common).midpoint)
 
 

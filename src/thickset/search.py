@@ -239,9 +239,10 @@ class ConfigWitness:
     of the stage at depth d.  The certificate reads: for every s in the
     ``ft`` enclosure there is a matching offset t* in the ``t`` enclosure
     with f(t*) = s, and the three points x - t*, x, x + s lie in every stage
-    down to ``depth``.  The constructor proves t.lo > 0, nested chains and a
-    deepest link holding its point enclosure, so every link holds it; only
-    ``verify_witness`` shows that the links are the family's and ft is f(t).
+    down to ``depth``.  The constructor proves a nonnegative int depth,
+    t.lo > 0, nested chains and a deepest link holding its point enclosure,
+    so every link holds it; only ``verify_witness`` shows that the links are
+    the family's and ft is f(t).
     """
 
     x: Fraction
@@ -251,6 +252,9 @@ class ConfigWitness:
     chains: tuple[Chain, Chain, Chain]
 
     def __post_init__(self):
+        _require_int("depth", self.depth)
+        if self.depth < 0:
+            raise DomainError("depth must be nonnegative")
         if self.t.lo <= 0:
             raise DomainError(f"nondegeneracy requires t > 0, got enclosure {self.t.lo}")
         if len(self.chains) != 3:
@@ -595,16 +599,16 @@ def _attempt_config(
     # Thickness must survive both the extraction and each refinement level.
     # Below a certified bound that is a bug; below the floor gated on for a
     # family that certifies none, the family is thin deeper than the gate.
-    for piece in sub_stages:
+    for level, piece in enumerate(sub_stages):
         if piece.count >= 2 and (value := thickness(piece).value) < tau:
             if family.thickness_bound is None:
                 raise HypothesisError(
                     f"extracted family thickness {value} at depth "
-                    f"{sub.depth_offset + piece.depth} is below the floor {tau} "
+                    f"{sub.depth_offset + level} is below the floor {tau} "
                     f"gated on over depths 1..{CONFIG_GATE_DEPTH}"
                 )
             raise InternalContradictionError(
-                f"extracted family lost thickness at level {piece.depth}"
+                f"extracted family lost thickness at level {level}"
             )
 
     fr = _orient_and_frame(sub_stages[-1])
@@ -638,14 +642,14 @@ def _attempt_config(
     # Every level's image is thickness-checked; the loop ends on the deepest,
     # the only one intersected: the stages nest, so it meets every coarser one.
     image_thickness_min: Optional[Fraction] = None
-    for stage in sub_stages:
+    for level, stage in enumerate(sub_stages):
         t_piece = source.of(stage)
         image = _polynomial_image(t_piece, poly.coeffs)
         if image.count >= 2:
             tv = thickness(image).value
             if tv <= rho * tau:
                 raise _RetryDelta(
-                    f"image stage thickness {tv} at level {stage.depth} "
+                    f"image stage thickness {tv} at level {level} "
                     f"is not above rho*tau = {rho * tau}"
                 )
             if image_thickness_min is None or tv < image_thickness_min:

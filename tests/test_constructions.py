@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from thickset import (
     CalibrationError,
+    CantorStage,
     ClosedInterval,
     ConstructionError,
     DomainError,
     RandomThickSpec,
+    RefinableFamily,
     RestrictedFamily,
     counterexample_calibrate,
     counterexample_limit_ratio,
@@ -325,6 +327,23 @@ def test_restricted_family_goes_local_exactly_when_the_window_spans_whole_interv
                 sub.stage(level)
             continue
         assert sub.stage(level).intervals == direct.intervals
+
+
+@pytest.mark.parametrize("second, text", [
+    ((F(2, 3), F(4, 3)), "interval [2/3, 4/3] is not contained in any parent interval"),
+    # Children that are not disjoint fail the stage check before nesting.
+    ((F(1, 3), F(2)), "stage intervals must be disjoint and increasing: [0, 1/3] then [1/3, 2]"),
+], ids=["leaves-parent", "touches-and-leaves-parent"])
+def test_user_refiner_whose_children_leave_their_parent_is_refused(second, text):
+    def refine(iv, _depth):
+        a, b = (iv.lo + share * iv.length for share in second)
+        return [ClosedInterval(iv.lo, iv.lo + iv.length / 3), ClosedInterval(a, b)]
+
+    family = RefinableFamily(CantorStage((ClosedInterval(F(0), F(1)),)), refine)
+    for _ in range(2):  # a refused stage is not cached
+        with pytest.raises(DomainError) as exc:
+            family.stage(1)
+        assert str(exc.value) == text
 
 
 def test_interval_chain_walkdown_matches_stages():

@@ -62,8 +62,6 @@ def assert_rebuilds(stage: CantorStage) -> None:
     assert [F(x, den) for x in lo] == [F(x, rden) for x in rlo] == [iv.lo for iv in stage.intervals]
     assert [F(x, den) for x in hi] == [F(x, rden) for x in rhi] == [iv.hi for iv in stage.intervals]
     assert stage_problem(stage.intervals, stage.allow_degenerate) is None
-    if stage.parent is not None:
-        assert nesting_problem(stage, stage.parent) is None
 
 
 _taus = st.sampled_from([F(1), F(3, 2), F(2), F(3), F(7, 5)])
@@ -250,20 +248,28 @@ _coords = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 102
 
 
 def _public_error(pairs, depth=0, parent=None, allow_degenerate=False):
+    """The public constructor's DomainError text, then ``check_nested_in``'s
+    when a parent is given, or None."""
     try:
         ivs = tuple(ClosedInterval(a, b) for a, b in pairs)
-        CantorStage(ivs, depth=depth, parent=parent, allow_degenerate=allow_degenerate)
+        stage = CantorStage(ivs, depth=depth, allow_degenerate=allow_degenerate)
+        if parent is not None:
+            stage.check_nested_in(parent)
     except DomainError as exc:
         return str(exc)
     return None
 
 
 def _grid_error(pairs, scale, depth=0, parent=None, allow_degenerate=False):
+    """``_public_error`` for the stage ``_from_grid`` builds over the lcm of
+    the denominators times ``scale``."""
     den = math.lcm(*(x.denominator for p in pairs for x in p)) * scale
     grid = (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
             [b.numerator * (den // b.denominator) for _, b in pairs])
     try:
-        stage = CantorStage._from_grid(grid, depth, parent, allow_degenerate)
+        stage = CantorStage._from_grid(grid, depth, allow_degenerate)
+        if parent is not None:
+            stage.check_nested_in(parent)
     except DomainError as exc:
         return str(exc)
     assert_rebuilds(stage)
@@ -316,10 +322,9 @@ def test_from_grid_rejects_each_fault_with_the_public_text():
 def _assert_one_formula(family, depth):
     """Whole-stage refinement equals the per-interval refiner at every
     depth, and ``interval_chain`` follows the stages."""
-    shift = family._depth_shift
     for d in range(depth):
         stage = family.stage(d)
-        children = [c for iv in stage.intervals for c in family._refine(iv, d + shift)]
+        children = [c for iv in stage.intervals for c in family._refine(iv, stage.depth)]
         assert list(family.stage(d + 1).intervals) == children
     deepest = family.stage(depth)
     for iv in (deepest.intervals[0], deepest.intervals[len(deepest.intervals) // 2]):
@@ -343,17 +348,44 @@ def test_local_refinement_equals_the_base_family(tau, seed, placement, offset, p
     k = pick % top.count
     window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
     sub = RestrictedFamily(base, window, depth_offset=offset)
-    assert sub._local is not None and sub._local._depth_shift == offset
+    assert sub._local is not None
     _assert_one_formula(sub._local, 4)
     for level in range(5):
         stage = sub.stage(level)
-        assert stage.intervals == restrict(base.stage(offset + level), window).intervals
+        assert stage == restrict(base.stage(offset + level), window)
+        assert stage.depth == offset + level
         if level:
             # The seeded tag is built from the reduced endpoints and the base depth.
             at = offset + level - 1
             expected = [c for iv in sub.stage(level - 1).intervals
                         for c in naive_random_thick_children(iv.lo, iv.hi, at, spec)]
             assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families, st.integers(1, 3), st.integers(0, 99), _scales, _shifts)
+def test_family_stages_nest_and_restricted_stages_keep_their_depth(
+        family, offset, pick, scale, shift):
+    """The built-in refiners build no nesting check into their stages:
+    ``check_nested_in`` and the Fraction oracle referee each chain, plain,
+    restricted locally and restricted through an affine view, and every
+    restricted stage keeps the depth it has in its base family."""
+    top = family.stage(offset)
+    k = pick % top.count
+    window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
+    local = RestrictedFamily(family, window, depth_offset=offset)
+    affine = AffineFamily(family, scale, shift)
+    ends = sorted((window.lo * scale + shift, window.hi * scale + shift))
+    generic = RestrictedFamily(affine, ClosedInterval(*ends), depth_offset=offset)
+    assert local._local is not None and generic._local is None
+    for fam, first in ((family, 0), (local, offset), (affine, 0), (generic, offset)):
+        for level in range(6):
+            stage = fam.stage(level)
+            assert stage.depth == first + level
+            if level:
+                above = fam.stage(level - 1)
+                stage.check_nested_in(above)
+                assert nesting_problem(stage, above) is None
 
 
 def test_middle_alpha_local_refinement_matches_naive_arithmetic():
@@ -464,7 +496,7 @@ def _rescaled(stage: CantorStage, m: int) -> CantorStage:
     """The same stage over a grid denominator m times larger."""
     den, lo, hi = stage._grid
     return CantorStage._from_grid((den * m, [x * m for x in lo], [x * m for x in hi]),
-                                  stage.depth, None, stage.allow_degenerate)
+                                  stage.depth, stage.allow_degenerate)
 
 
 @st.composite

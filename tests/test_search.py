@@ -760,6 +760,20 @@ def test_witness_with_a_link_swapped_for_its_sibling_is_refused():
         _with_chain(w, 2, chain)
 
 
+@pytest.mark.parametrize("depth, text", [
+    (-1, "depth must be nonnegative"),
+    (True, "depth must be an integer, got True"),
+    (2.0, "depth must be an integer, got 2.0"),
+])
+def test_witness_depth_is_a_nonnegative_int(depth, text):
+    # At depth -1 the empty chains would replay {4, 5, 6}, outside
+    # AffineFamily(middle_alpha_family(1/3), 1, 0), as ok.
+    one = ClosedInterval(F(1), F(1))
+    with pytest.raises(DomainError) as exc:
+        ConfigWitness(x=F(5), t=one, ft=one, depth=depth, chains=((), (), ()))
+    assert str(exc.value) == text
+
+
 def test_replay_names_a_widened_link_that_still_nests():
     fam, w = _gentle_witness()
     chain = list(w.chains[1])
