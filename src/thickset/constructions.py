@@ -14,7 +14,10 @@ Three sources of sets:
 
 A ``StageFamily`` is a lazily refined chain K_0 superset K_1 superset ...;
 restriction and affine views compose so search pipelines can localize work
-to a small bridge without recomputing global stages.
+to a small bridge without recomputing global stages.  ``StageFamily.stage``
+is every family's one depth check and stage cache; a refinable family has
+one refinement step, stage to child stage, which its ``interval_chain``
+walk applies to one-interval stages.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ IntervalRefiner = Callable[[ClosedInterval, int], Sequence[ClosedInterval]]
 class StageFamily:
     """A refinement sequence of Cantor stages, indexed by depth from 0.
 
+    ``stage`` is every family's one depth check and stage cache: it fills
+    ``_stages`` in depth order, calling the subclass's ``_build(depth)`` once
+    per depth, after every shallower stage is in.
+
     ``thickness_bound`` is a lower bound on the thickness of every stage at
     depth >= 1 that the construction certifies, or None when it certifies
     none.
@@ -56,7 +63,19 @@ class StageFamily:
 
     thickness_bound: Optional[Fraction] = None
 
+    def __init__(self):
+        self._stages: list[CantorStage] = []
+
     def stage(self, depth: int) -> CantorStage:
+        _require_int("family depth", depth)
+        if depth < 0:
+            raise DomainError("family depth must be nonnegative")
+        stages = self._stages
+        while len(stages) <= depth:
+            stages.append(self._build(len(stages)))
+        return stages[depth]
+
+    def _build(self, depth: int) -> CantorStage:
         raise NotImplementedError
 
     def stages(self, first: int, last: int) -> list[CantorStage]:
@@ -84,19 +103,12 @@ class _GridRefiner:
     into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
     applies the formula to a whole stage grid at the stage's depth and
     builds the child stage, nested by construction, from the child grid
-    alone; calling the object is the per-interval refiner, with validated
-    children, that ``interval_chain`` walks.
+    alone.
     """
 
     def __init__(self, factor: int, cut: Callable[[int, int, int, int], tuple[int, int]]):
         self.factor = factor
         self.cut = cut
-
-    def __call__(self, iv: ClosedInterval, depth: int) -> list[ClosedInterval]:
-        (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-        a, b = self.cut(ln * hd, hn * ld, ld * hd, depth)
-        den = ld * hd * self.factor
-        return [ClosedInterval(iv.lo, Fraction(a, den)), ClosedInterval(Fraction(b, den), iv.hi)]
 
     def refine(self, parent: CantorStage) -> CantorStage:
         den, lo, hi = parent._grid
@@ -118,56 +130,47 @@ class RefinableFamily(StageFamily):
     The refiner maps (interval, depth) to the child intervals it splits
     into; children must stay inside the interval and keep its endpoints so
     that gaps only ever get added, never moved; it is called with the depth
-    of the stage it refines, counted from the root's own.  The built-in
-    constructions refine a whole stage grid at once; any other refiner's
-    children are validated ``ClosedInterval``s whose stage ``stage`` builds
-    through the public constructor and checks for nesting in its parent.
+    of the stage it refines, counted from the root's own.  ``_refined`` is
+    the family's one refinement step, stage to child stage: a built-in
+    construction refines the whole stage grid at once; any other refiner's
+    children are validated ``ClosedInterval``s whose stage is built through
+    the public constructor and checked for nesting in its parent.
     """
 
-    def __init__(self, root: CantorStage, refine_interval: IntervalRefiner, name: str = "",
-                 thickness_bound: Optional[Fraction] = None):
-        self._cache: list[CantorStage] = [root]
+    def __init__(self, root: CantorStage, refine_interval: IntervalRefiner | _GridRefiner,
+                 name: str = "", thickness_bound: Optional[Fraction] = None):
+        super().__init__()
+        self._stages.append(root)
         self.thickness_bound = thickness_bound
         self._refine = refine_interval
         self.name = name
 
-    def stage(self, depth: int) -> CantorStage:
-        _require_int("family depth", depth)
-        if depth < 0:
-            raise DomainError("family depth must be nonnegative")
-        while len(self._cache) <= depth:
-            parent = self._cache[-1]
-            if isinstance(self._refine, _GridRefiner):
-                child = self._refine.refine(parent)
-            else:
-                children: list[ClosedInterval] = []
-                for iv in parent.intervals:
-                    children.extend(self._refine(iv, parent.depth))
-                child = CantorStage(tuple(children), depth=parent.depth + 1)
-                child.check_nested_in(parent)
-            self._cache.append(child)
-        return self._cache[depth]
+    def _refined(self, parent: CantorStage) -> CantorStage:
+        if isinstance(self._refine, _GridRefiner):
+            return self._refine.refine(parent)
+        children = [c for iv in parent.intervals for c in self._refine(iv, parent.depth)]
+        child = CantorStage(tuple(children), depth=parent.depth + 1)
+        child.check_nested_in(parent)
+        return child
+
+    def _build(self, depth: int) -> CantorStage:
+        return self._refined(self._stages[depth - 1])
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
-        """Walk down refining only the containing interval: avoids
-        materializing exponentially large deep stages."""
-        root = self._cache[0]
-        host = root.interval_containing(enclosure)
-        if host is None:
-            raise DomainError(f"enclosure {enclosure} is outside the root stage")
-        chain = [host]
-        for d in range(max_depth):
-            nxt = None
-            for child in self._refine(host, root.depth + d):
-                if child.contains_interval(enclosure):
-                    nxt = child
-                    break
-            if nxt is None:
+        """Walk down refining only the containing interval, as a one-interval
+        stage through the family's one step: avoids materializing
+        exponentially large deep stages."""
+        stage = self._stages[0]
+        chain: list[ClosedInterval] = []
+        for d in range(max_depth + 1):
+            host = stage.interval_containing(enclosure)
+            if host is None:
                 raise DomainError(
-                    f"enclosure {enclosure} is not inside any interval at depth {d + 1}"
+                    f"enclosure {enclosure} is not inside any interval at depth {d}"
                 )
-            host = nxt
             chain.append(host)
+            if d < max_depth:
+                stage = self._refined(CantorStage((host,), depth=stage.depth))
         return chain
 
 
@@ -177,17 +180,21 @@ class RestrictedFamily(StageFamily):
     keeps its depth in the base family, ``depth_offset`` plus its index.
 
     When the base refines intervals independently and the window spans whole
-    intervals of the offset stage, the restriction refines locally: deep
-    levels cost only the window's own subtree, not the full base stage.
+    intervals of the offset stage, the restriction refines locally through
+    the base's refinement step: deep levels cost only the window's own
+    subtree, not the full base stage.
     """
 
     def __init__(self, base: StageFamily, window: ClosedInterval, depth_offset: int = 0):
+        super().__init__()
+        _require_int("depth_offset", depth_offset)
+        if depth_offset < 0:
+            raise DomainError("depth_offset must be nonnegative")
         self.base = base
         self.window = window
         self.depth_offset = depth_offset
-        self._cache: dict[int, CantorStage] = {}
-        self._local: Optional[RefinableFamily] = None
-        if isinstance(base, RefinableFamily) and depth_offset >= 0:
+        self._local = None  # the base's refinement step, if this view refines locally
+        if isinstance(base, RefinableFamily):
             offset_stage = base.stage(depth_offset)
             root = restrict(offset_stage, window)
             # restrict clips only its first and last interval, so the window
@@ -195,38 +202,30 @@ class RestrictedFamily(StageFamily):
             # interval start and ends at an interval end.
             den, lo, hi = offset_stage._grid
             if _endpoint_index(lo, den, root.min) >= 0 and _endpoint_index(hi, den, root.max) >= 0:
-                self._local = RefinableFamily(root, base._refine)
+                self._local = base._refined
+                self._stages.append(root)
 
-    def stage(self, depth: int) -> CantorStage:
+    def _build(self, level: int) -> CantorStage:
         if self._local is not None:
-            return self._local.stage(depth)
-        if depth not in self._cache:
-            self._cache[depth] = restrict(self.base.stage(depth + self.depth_offset), self.window)
-        return self._cache[depth]
-
-    def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
-        if self._local is not None:
-            return self._local.interval_chain(enclosure, max_depth)
-        return super().interval_chain(enclosure, max_depth)
+            return self._local(self._stages[level - 1])
+        return restrict(self.base.stage(level + self.depth_offset), self.window)
 
 
 class AffineFamily(StageFamily):
     """View of a family under an exact affine map.  Thickness is affine
     invariant, so the view keeps the base family's bound."""
 
-    def __init__(self, base: StageFamily, scale: Fraction, shift: Fraction):
-        if scale == 0:
+    def __init__(self, base: StageFamily, scale: RationalLike, shift: RationalLike):
+        super().__init__()
+        self.scale = to_rational(scale)
+        if self.scale == 0:
             raise DomainError("affine family requires a nonzero scale")
+        self.shift = to_rational(shift)
         self.base = base
         self.thickness_bound = base.thickness_bound
-        self.scale = to_rational(scale)
-        self.shift = to_rational(shift)
-        self._cache: dict[int, CantorStage] = {}
 
-    def stage(self, depth: int) -> CantorStage:
-        if depth not in self._cache:
-            self._cache[depth] = affine_image(self.base.stage(depth), self.scale, self.shift)
-        return self._cache[depth]
+    def _build(self, depth: int) -> CantorStage:
+        return affine_image(self.base.stage(depth), self.scale, self.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,6 @@ def middle_alpha(alpha: RationalLike, depth: int) -> CantorStage:
     alpha of every interval; the stage thickness is (1 - alpha)/(2 * alpha)
     at every depth >= 1.
     """
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
     return middle_alpha_family(alpha).stage(depth)
 
 

@@ -24,9 +24,9 @@ Three finders, all exact or certified:
 and the two differ only in their hypothesis gates, their bridge inequalities
 and the map f applied to the piece that carries t.
 
-Each finder walks a witness's chains once, and the ``ConfigWitness``
-constructor and the finder's coupling check of ``ft`` to f(t) certify it;
-``verify_witness`` is the replay against the family and f, not a self-check.
+Each finder reads a witness's chains off the family stages it holds; the
+``ConfigWitness`` constructor and the coupling check of ``ft`` to f(t)
+certify it.  ``verify_witness`` replays it, the only ``interval_chain`` walk.
 """
 
 from __future__ import annotations
@@ -323,19 +323,17 @@ def verify_witness(
     return {"ok": not failures, "failures": failures}
 
 
-def _witness(family: StageFamily, max_depth: int, x: Fraction,
+def _witness(stages: list[CantorStage], x: Fraction,
              t: ClosedInterval, ft: ClosedInterval) -> ConfigWitness:
-    """The finders' last step: one ``interval_chain`` walk per point
-    enclosure.  The finders build every enclosure inside stage intervals, so
-    one that leaves the family is a bug."""
-    try:
-        chains = tuple(
-            tuple(family.interval_chain(enc, max_depth))
-            for enc in _point_enclosures(x, t, ft)
-        )
-    except DomainError as exc:
-        raise InternalContradictionError(f"witness point left the family: {exc}") from exc
-    return ConfigWitness(x=x, t=t, ft=ft, depth=max_depth, chains=chains)
+    """Each point's chain off the stages the finder holds, depths 0, 1, ...;
+    every enclosure lies in stage intervals, so one outside is a bug."""
+    encs = _point_enclosures(x, t, ft)
+    chains = tuple(tuple(stage.interval_containing(enc) for stage in stages) for enc in encs)
+    for enc, chain in zip(encs, chains):
+        if None in chain:
+            raise InternalContradictionError(
+                f"witness point {enc} left the family at depth {chain.index(None)}")
+    return ConfigWitness(x=x, t=t, ft=ft, depth=len(stages) - 1, chains=chains)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,8 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     if tau < 1:
         raise HypothesisError(f"3-AP search requires thickness >= 1, got {tau}")
 
-    deep = family.stage(max_depth)
+    stages = family.stages(0, max_depth)
+    deep = stages[-1]
     fr = _orient_and_frame(deep)
     if not (0 < fr.gap_len <= fr.right_reach <= fr.left_reach):
         raise InternalContradictionError(
@@ -437,7 +436,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
     t_enc = persistent_intersect([fr.left.of(deep)], [fr.right.of(deep)], check=False).chain[-1]
-    return _witness(family, max_depth, fr.x, t_enc, t_enc)
+    return _witness(stages, fr.x, t_enc, t_enc)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +672,9 @@ def _attempt_config(
     if not (poly(t_enc.lo) <= ft_enc.lo and ft_enc.hi <= poly(t_enc.hi)):
         raise InternalContradictionError("ft enclosure is not within f(t enclosure)")
 
+    # The window spans whole intervals from depth_offset on: the links are the family's.
     return FindConfigResult(
-        witness=_witness(family, sub.depth_offset + levels, fr.x, t_enc, ft_enc),
+        witness=_witness(family.stages(0, sub.depth_offset - 1) + sub_stages, fr.x, t_enc, ft_enc),
         tau=tau,
         rho=rho,
         epsilon=eps,

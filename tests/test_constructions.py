@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thickset import (
+    AffineFamily,
     CalibrationError,
     CantorStage,
     ClosedInterval,
@@ -92,8 +93,9 @@ def test_middle_alpha_validates_input():
     for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
         with pytest.raises(DomainError):
             middle_alpha(bad, 2)
-    with pytest.raises(DomainError):
-        middle_alpha(F(1, 3), -1)
+    for depth in (-1, True, 2.0, "a"):
+        with pytest.raises(DomainError):
+            middle_alpha(F(1, 3), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,45 @@ def test_user_refiner_whose_children_leave_their_parent_is_refused(second, text)
         with pytest.raises(DomainError) as exc:
             family.stage(1)
         assert str(exc.value) == text
+
+
+_FAMILY_VIEWS = {
+    "refinable": lambda: middle_alpha_family(F(1, 3)),
+    "local-restricted": lambda: RestrictedFamily(
+        middle_alpha_family(F(1, 3)), ClosedInterval(F(0), F(1, 3)), depth_offset=2),
+    "generic-restricted": lambda: RestrictedFamily(
+        AffineFamily(middle_alpha_family(F(1, 3)), 1, 0), ClosedInterval(F(0), F(1, 3)),
+        depth_offset=2),
+    "affine": lambda: AffineFamily(middle_alpha_family(F(1, 3)), 1, 0),
+}
+
+
+@pytest.mark.parametrize("depth", [-1, True, 1.0, "1"])
+@pytest.mark.parametrize("view", list(_FAMILY_VIEWS))
+def test_every_family_refuses_a_depth_that_is_not_a_nonnegative_int(view, depth):
+    """Depth 1 is built first, so a bool that equals 1 cannot be served
+    from the cache, and a negative depth cannot reach a base stage above
+    the offset."""
+    family = _FAMILY_VIEWS[view]()
+    family.stage(1)
+    with pytest.raises(DomainError, match="^family depth must be"):
+        family.stage(depth)
+
+
+@pytest.mark.parametrize("offset", [-1, True, 1.0])
+def test_restricted_family_refuses_a_bad_depth_offset(offset):
+    with pytest.raises(DomainError, match="^depth_offset must be"):
+        RestrictedFamily(middle_alpha_family(F(1, 3)), ClosedInterval(F(0), F(1, 3)),
+                         depth_offset=offset)
+
+
+def test_affine_family_coerces_its_scale_before_refusing_zero():
+    base = middle_alpha_family(F(1, 3))
+    for zero in ("0", F(0), 0, "0/5"):
+        with pytest.raises(DomainError, match="^affine family requires a nonzero scale$"):
+            AffineFamily(base, zero, 1)
+    family = AffineFamily(base, "-2/3", "1")
+    assert (family.scale, family.shift) == (F(-2, 3), F(1))
 
 
 def test_interval_chain_walkdown_matches_stages():

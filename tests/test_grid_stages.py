@@ -74,16 +74,20 @@ _scales = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
 _shifts = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
 
 
-def _family(kind, tau, seed, placement, base):
+def _family_and_params(kind, tau, seed, placement, base):
+    """A built-in family and the parameters ``_naive_children`` takes."""
     if kind == "random-thick":
-        return random_thick_family(RandomThickSpec(tau, 0, seed, placement), base)
-    return middle_alpha_family(1 / (2 * tau + 1), base)
+        spec = RandomThickSpec(tau, 0, seed, placement)
+        return random_thick_family(spec, base), spec
+    alpha = 1 / (2 * tau + 1)
+    return middle_alpha_family(alpha, base), alpha
 
 
-_families = st.builds(
-    _family, st.sampled_from(["random-thick", "middle-alpha"]), _taus,
+_families_with_params = st.builds(
+    _family_and_params, st.sampled_from(["random-thick", "middle-alpha"]), _taus,
     st.integers(0, 2 ** 64 - 1), _placements, _bases,
 )
+_families = _families_with_params.map(lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +320,17 @@ def test_from_grid_rejects_each_fault_with_the_public_text():
 
 
 # ---------------------------------------------------------------------------
-# one integer formula, two adapters
+# one integer formula, refereed by the Fraction oracles
 # ---------------------------------------------------------------------------
 
-def _assert_one_formula(family, depth):
-    """Whole-stage refinement equals the per-interval refiner at every
-    depth, and ``interval_chain`` follows the stages."""
+def _assert_one_formula(family, params, depth):
+    """Whole-stage refinement equals the step-by-step Fraction children of
+    each interval at every depth, and ``interval_chain`` follows the
+    stages."""
     for d in range(depth):
         stage = family.stage(d)
-        children = [c for iv in stage.intervals for c in family._refine(iv, stage.depth)]
-        assert list(family.stage(d + 1).intervals) == children
+        expected = [c for iv in stage.intervals for c in _naive_children(params, iv, stage.depth)]
+        assert [(iv.lo, iv.hi) for iv in family.stage(d + 1).intervals] == expected
     deepest = family.stage(depth)
     for iv in (deepest.intervals[0], deepest.intervals[len(deepest.intervals) // 2]):
         point = ClosedInterval(iv.midpoint, iv.midpoint)
@@ -334,9 +339,9 @@ def _assert_one_formula(family, depth):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_families)
-def test_whole_stage_refinement_equals_the_interval_refiner(family):
-    _assert_one_formula(family, 6)
+@given(_families_with_params)
+def test_whole_stage_refinement_equals_the_interval_refiner(pair):
+    _assert_one_formula(*pair, 6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,17 +354,12 @@ def test_local_refinement_equals_the_base_family(tau, seed, placement, offset, p
     window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
     sub = RestrictedFamily(base, window, depth_offset=offset)
     assert sub._local is not None
-    _assert_one_formula(sub._local, 4)
+    # The seeded tag is built from the reduced endpoints and the base depth.
+    _assert_one_formula(sub, spec, 4)
     for level in range(5):
         stage = sub.stage(level)
         assert stage == restrict(base.stage(offset + level), window)
         assert stage.depth == offset + level
-        if level:
-            # The seeded tag is built from the reduced endpoints and the base depth.
-            at = offset + level - 1
-            expected = [c for iv in sub.stage(level - 1).intervals
-                        for c in naive_random_thick_children(iv.lo, iv.hi, at, spec)]
-            assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -736,7 +736,7 @@ def _naive_children(params, iv, depth):
 def test_built_in_refinement_builds_no_fraction(name):
     """Each stage comes from its parent's grid alone, writes its JSON from
     the grid, and reads back the children of step-by-step Fraction
-    arithmetic, which the per-interval refiner gives too."""
+    arithmetic."""
     params, base = _BUILT_IN_FAMILIES[name]
     if isinstance(params, RandomThickSpec):
         family = random_thick_family(params, base)
@@ -750,7 +750,6 @@ def test_built_in_refinement_builds_no_fraction(name):
         parent = family.stage(d - 1).intervals
         expected = [c for iv in parent for c in _naive_children(params, iv, d - 1)]
         assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
-        assert [c for iv in parent for c in family._refine(iv, d - 1)] == list(stage.intervals)
         assert json.loads(text) == {"depth": d,
                                     "intervals": [iv.to_json() for iv in stage.intervals]}
 

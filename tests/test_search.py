@@ -20,6 +20,7 @@ from thickset import (
     RandomThickSpec,
     RefinableFamily,
     SearchConfig,
+    StageFamily,
     counterexample_calibrate,
     counterexample_parts,
     derivative_ratio_bound,
@@ -807,21 +808,29 @@ def test_find_config_refuses_an_inverse_off_ft(monkeypatch):
     right_heavy_family,
 ], ids=["middle-alpha", "random-thick", "affine-scale-minus-2/3", "user-refiner"])
 def test_searches_walk_each_witness_chain_once_and_never_replay(make, monkeypatch):
+    """Each chain is read once, down the stages the search already holds:
+    neither search calls ``interval_chain`` on any family or calls
+    ``verify_witness``, and every chain is the one ``interval_chain``
+    walks."""
     def replay(*_args, **_kwargs):
         raise AssertionError("a search replayed its own witness")
 
+    walks = []
+
+    def counted(walk):
+        def spy(self, *args):
+            walks.append(args)
+            return walk(self, *args)
+        return spy
+
     monkeypatch.setattr(search, "verify_witness", replay)
+    for cls in (StageFamily, RefinableFamily):
+        monkeypatch.setattr(cls, "interval_chain", counted(cls.interval_chain))
     for run in (lambda fam: find_3ap(fam, max_depth=6),
                 lambda fam: find_config(fam, GENTLE, SearchConfig(max_depth=6)).witness):
         family = make()
-        walks = []
-        walk = family.interval_chain
-
-        def spy(*args):
-            walks.append(args)
-            return walk(*args)
-
-        monkeypatch.setattr(family, "interval_chain", spy)
         w = run(family)
-        assert len(walks) == 3
-        assert [enc for enc, _ in walks] == list(w.point_enclosures())
+        assert walks == []
+        for chain, enc in zip(w.chains, w.point_enclosures()):
+            assert list(chain) == family.interval_chain(enc, w.depth)
+        walks.clear()
