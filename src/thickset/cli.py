@@ -46,6 +46,7 @@ from .core import (
     loads_stage,
     rational_str,
     thickness,
+    to_rational,
 )
 from .errors import (
     DomainError,
@@ -57,6 +58,7 @@ from .errors import (
 from .functions import FunctionSpec, derivative_window
 from .gaplemma import check_hypotheses, intersect
 from .search import (
+    INTERVAL_BUDGET,
     SearchConfig,
     config_gate_thickness,
     find_3ap,
@@ -65,10 +67,6 @@ from .search import (
 )
 
 USAGE_EXIT = 3
-# The most intervals a requested depth may ask one stage for.  At 2**16,
-# `construct --random-thick 2 --depth 16` peaks at about 250 MB of memory
-# and writes 39 MiB of JSON (Python 3.11 on a 2-core x86-64 host).
-INTERVAL_BUDGET = 2 ** 16
 
 
 class _UsageError(Exception):
@@ -89,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return to_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"not a rational number: {text!r} ({exc})") from exc
 
@@ -351,12 +349,10 @@ def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
                  max_depth: int, strict: bool) -> dict:
     """One slope probe; argument types kept picklable so the sweep can fan
     out across worker processes (the search pipeline is pure)."""
-    slope = Fraction(slope_str)
-    coeffs = (slope,) if quad_str is None else (slope, Fraction(quad_str))
     entry: dict = {"slope": slope_str}
     try:
         family = _parse_family(family_spec)
-        f = FunctionSpec(coeffs)
+        f = FunctionSpec.parse(slope_str if quad_str is None else f"{slope_str},{quad_str}")
         result = find_config(
             family,
             f,

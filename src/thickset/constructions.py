@@ -15,9 +15,9 @@ Three sources of sets:
 A ``StageFamily`` is a lazily refined chain K_0 superset K_1 superset ...;
 restriction and affine views compose so search pipelines can localize work
 to a small bridge without recomputing global stages.  ``StageFamily.stage``
-is every family's one depth check and stage cache; a refinable family has
-one refinement step, stage to child stage, which its ``interval_chain``
-walk applies to one-interval stages.
+is every family's one depth check and stage cache; a family's refinement
+step, stage to child stage, is a capability a view takes from its base, and
+``interval_chain`` applies it to one-interval stages.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class StageFamily:
     """A refinement sequence of Cantor stages, indexed by depth from 0.
 
     ``stage`` is every family's one depth check and stage cache: it fills
-    ``_stages`` in depth order, calling the subclass's ``_build(depth)`` once
-    per depth, after every shallower stage is in.
+    ``_stages`` in depth order, calling ``_build(depth)`` once per depth,
+    after every shallower stage is in; by default ``_build`` applies
+    ``_refined``, the family's refinement step, or None if it has none.
 
     ``thickness_bound`` is a lower bound on the thickness of every stage at
     depth >= 1 that the construction certifies, or None when it certifies
@@ -62,36 +63,42 @@ class StageFamily:
     """
 
     thickness_bound: Optional[Fraction] = None
+    _refined: Optional[Callable[[CantorStage], CantorStage]] = None
 
     def __init__(self):
         self._stages: list[CantorStage] = []
 
     def stage(self, depth: int) -> CantorStage:
-        _require_int("family depth", depth)
-        if depth < 0:
-            raise DomainError("family depth must be nonnegative")
+        _require_int("family depth", depth, 0)
         stages = self._stages
         while len(stages) <= depth:
             stages.append(self._build(len(stages)))
         return stages[depth]
 
     def _build(self, depth: int) -> CantorStage:
-        raise NotImplementedError
+        if self._refined is None:
+            raise NotImplementedError
+        return self._refined(self._stages[depth - 1])
 
     def stages(self, first: int, last: int) -> list[CantorStage]:
         return [self.stage(d) for d in range(first, last + 1)]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         """The unique stage interval containing ``enclosure``, per depth
-        0..max_depth.  Raises DomainError where no interval contains it."""
+        0..max_depth: refined as a one-interval stage by the family's step,
+        if any, else read off whole stages.  DomainError where none holds it."""
+        step, stage = self._refined, self.stage(0)
         chain: list[ClosedInterval] = []
         for d in range(max_depth + 1):
-            host = self.stage(d).interval_containing(enclosure)
+            host = stage.interval_containing(enclosure)
             if host is None:
                 raise DomainError(
                     f"enclosure {enclosure} is not inside any interval at depth {d}"
                 )
             chain.append(host)
+            if d < max_depth:
+                stage = (self.stage(d + 1) if step is None
+                         else step(CantorStage((host,), depth=stage.depth)))
         return chain
 
 
@@ -153,48 +160,25 @@ class RefinableFamily(StageFamily):
         child.check_nested_in(parent)
         return child
 
-    def _build(self, depth: int) -> CantorStage:
-        return self._refined(self._stages[depth - 1])
-
-    def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
-        """Walk down refining only the containing interval, as a one-interval
-        stage through the family's one step: avoids materializing
-        exponentially large deep stages."""
-        stage = self._stages[0]
-        chain: list[ClosedInterval] = []
-        for d in range(max_depth + 1):
-            host = stage.interval_containing(enclosure)
-            if host is None:
-                raise DomainError(
-                    f"enclosure {enclosure} is not inside any interval at depth {d}"
-                )
-            chain.append(host)
-            if d < max_depth:
-                stage = self._refined(CantorStage((host,), depth=stage.depth))
-        return chain
-
 
 class RestrictedFamily(StageFamily):
     """View of a family intersected with a fixed window, optionally
     re-indexed so index 0 is the base stage at ``depth_offset``; each stage
     keeps its depth in the base family, ``depth_offset`` plus its index.
 
-    When the base refines intervals independently and the window spans whole
-    intervals of the offset stage, the restriction refines locally through
-    the base's refinement step: deep levels cost only the window's own
-    subtree, not the full base stage.
+    When the base has a refinement step and the window spans whole
+    intervals of the offset stage, the restriction takes that step and
+    refines locally: deep levels cost only the window's own subtree, not
+    the full base stage, which only a window that clips an interval reads.
     """
 
     def __init__(self, base: StageFamily, window: ClosedInterval, depth_offset: int = 0):
         super().__init__()
-        _require_int("depth_offset", depth_offset)
-        if depth_offset < 0:
-            raise DomainError("depth_offset must be nonnegative")
+        _require_int("depth_offset", depth_offset, 0)
         self.base = base
         self.window = window
         self.depth_offset = depth_offset
-        self._local = None  # the base's refinement step, if this view refines locally
-        if isinstance(base, RefinableFamily):
+        if base._refined is not None:
             offset_stage = base.stage(depth_offset)
             root = restrict(offset_stage, window)
             # restrict clips only its first and last interval, so the window
@@ -202,18 +186,19 @@ class RestrictedFamily(StageFamily):
             # interval start and ends at an interval end.
             den, lo, hi = offset_stage._grid
             if _endpoint_index(lo, den, root.min) >= 0 and _endpoint_index(hi, den, root.max) >= 0:
-                self._local = base._refined
+                self._refined = base._refined
                 self._stages.append(root)
 
     def _build(self, level: int) -> CantorStage:
-        if self._local is not None:
-            return self._local(self._stages[level - 1])
+        if self._refined is not None:
+            return super()._build(level)
         return restrict(self.base.stage(level + self.depth_offset), self.window)
 
 
 class AffineFamily(StageFamily):
     """View of a family under an exact affine map.  Thickness is affine
-    invariant, so the view keeps the base family's bound."""
+    invariant, so the view keeps the base family's bound.  Its step, if the
+    base has one, is the base's conjugated by the map."""
 
     def __init__(self, base: StageFamily, scale: RationalLike, shift: RationalLike):
         super().__init__()
@@ -223,6 +208,12 @@ class AffineFamily(StageFamily):
         self.shift = to_rational(shift)
         self.base = base
         self.thickness_bound = base.thickness_bound
+        step, scale, shift = base._refined, self.scale, self.shift
+        if step is not None:  # a closure over self would hold the view in a cycle
+            def conjugated(parent: CantorStage) -> CantorStage:
+                back = affine_image(parent, 1 / scale, -shift / scale)
+                return affine_image(step(back), scale, shift)
+            self._refined = conjugated
 
     def _build(self, depth: int) -> CantorStage:
         return affine_image(self.base.stage(depth), self.scale, self.shift)
@@ -295,10 +286,8 @@ class RandomThickSpec:
             object.__setattr__(self, "gap_placement", gp)
         if self.target_tau <= 0:
             raise DomainError("target_tau must be positive")
-        _require_int("depth", self.depth)
+        _require_int("depth", self.depth, 0)
         _require_int("seed", self.seed)
-        if self.depth < 0:
-            raise DomainError("depth must be nonnegative")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must be a 64-bit unsigned integer")
 

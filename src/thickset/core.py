@@ -53,6 +53,10 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 # A stage's integer grid (den, lo, hi): interval k is [lo[k]/den, hi[k]/den].
 Grid = tuple[int, list[int], list[int]]
+# CPython's default digit limit for int text; to_rational refuses a decimal
+# exponent above it before Fraction computes 10**exponent.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 BOUNDED = "bounded"
 LEFT_UNBOUNDED = "left_unbounded"
@@ -63,31 +67,40 @@ RIGHT = "right"
 
 
 def to_rational(value: RationalLike) -> Fraction:
-    """Coerce ints and 'p/q' strings to an exact Fraction."""
+    """Coerce ints and 'p/q' strings to an exact Fraction (Fraction's grammar)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise DomainError(f"floats are not accepted as coordinates: {value!r}")
     if isinstance(value, bool):
         raise DomainError(f"booleans are not accepted as coordinates: {value!r}")
+    exp = isinstance(value, str) and _EXPONENT.search(value)
+    if exp and (len(exp[1]) > _MAX_DIGITS or abs(int(exp[1])) > _MAX_DIGITS):
+        raise DomainError(
+            f"decimal exponent out of range: its magnitude may be at most {_MAX_DIGITS}")
     return Fraction(value)
 
 
-def _require_int(name: str, value) -> None:
-    """Depths and seeds are ints: a bool or a float is refused, never coerced."""
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Depths and seeds are ints, at least ``least`` if given; a bool or a float is refused."""
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}")
 
 
 def rational_str(value: Fraction) -> str:
     """Lowest-terms string form, e.g. '2/3', '-1/2', '4'."""
-    return str(value)
+    return _rational_text(value.numerator, value.denominator)
 
 
 def _rational_text(n: int, d: int) -> str:
     """``rational_str(Fraction(n, d))`` for d > 0, from one gcd."""
     g = math.gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
+    except ValueError as exc:
+        raise DomainError(f"rational too long to write: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -767,4 +780,8 @@ def loads_stage(text: str) -> CantorStage:
         data = json.loads(text)
     except RecursionError as exc:
         raise DomainError("stage JSON is nested too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer literal over the int-string digit limit
+        raise DomainError(f"malformed stage JSON: {exc}") from exc
     return stage_from_json(data)

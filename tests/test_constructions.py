@@ -1,5 +1,7 @@
 """Generators: middle-alpha, random thick sets, and the avoidance set."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from thickset import (
     RandomThickSpec,
     RefinableFamily,
     RestrictedFamily,
+    bounded_gaps,
     counterexample_calibrate,
     counterexample_limit_ratio,
     counterexample_parts,
@@ -288,7 +291,7 @@ def test_restricted_family_localization_matches_delegation():
     fam = middle_alpha_family(F(1, 3))
     window = ClosedInterval(F(2, 3), F(1))  # spans a whole depth-1 interval
     local = RestrictedFamily(fam, window, depth_offset=1)
-    assert local._local is not None
+    assert local._refined is not None
     for level in range(5):
         direct = restrict(fam.stage(1 + level), window)
         assert local.stage(level).intervals == direct.intervals
@@ -320,7 +323,7 @@ def test_restricted_family_goes_local_exactly_when_the_window_spans_whole_interv
              for lo, hi in clipped]
     window = ClosedInterval(a, b)
     sub = RestrictedFamily(family, window, depth_offset=offset)
-    assert (sub._local is not None) == (clipped == hosts)
+    assert (sub._refined is not None) == (clipped == hosts)
     for level in range(3):
         try:
             direct = restrict(family.stage(offset + level), window)
@@ -352,11 +355,56 @@ _FAMILY_VIEWS = {
     "refinable": lambda: middle_alpha_family(F(1, 3)),
     "local-restricted": lambda: RestrictedFamily(
         middle_alpha_family(F(1, 3)), ClosedInterval(F(0), F(1, 3)), depth_offset=2),
+    # [0, 1/4] clips the depth-2 interval [2/9, 1/3]: whole stages, restricted.
     "generic-restricted": lambda: RestrictedFamily(
-        AffineFamily(middle_alpha_family(F(1, 3)), 1, 0), ClosedInterval(F(0), F(1, 3)),
+        AffineFamily(middle_alpha_family(F(1, 3)), 1, 0), ClosedInterval(F(0), F(1, 4)),
         depth_offset=2),
     "affine": lambda: AffineFamily(middle_alpha_family(F(1, 3)), 1, 0),
+    "affine-restricted": lambda: RestrictedFamily(
+        AffineFamily(middle_alpha_family(F(1, 3)), F(-2, 3), 1), ClosedInterval(F(7, 9), F(1)),
+        depth_offset=2),
+    "restricted-restricted": lambda: RestrictedFamily(
+        RestrictedFamily(middle_alpha_family(F(1, 3)), ClosedInterval(F(0), F(1, 3)), 1),
+        ClosedInterval(F(2, 9), F(1, 3)), depth_offset=1),
 }
+
+
+def test_family_views_refine_locally_unless_the_window_clips_an_interval():
+    local = {view: _FAMILY_VIEWS[view]()._refined is not None for view in _FAMILY_VIEWS}
+    assert local == {"refinable": True, "local-restricted": True, "generic-restricted": False,
+                     "affine": True, "affine-restricted": True, "restricted-restricted": True}
+
+
+@pytest.mark.parametrize("view", list(_FAMILY_VIEWS))
+def test_every_view_is_freed_without_the_cycle_collector(view):
+    """A step that held its own view would keep the view and its stages
+    alive until a collection, which raises peak memory."""
+    family = _FAMILY_VIEWS[view]()
+    family.stage(3)
+    gone = weakref.ref(family)
+    gc.disable()
+    try:
+        del family
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("view", list(_FAMILY_VIEWS))
+def test_every_view_walks_the_chains_its_whole_stages_hold(view):
+    """``interval_chain`` equals the whole-stage lookup for each interval's
+    midpoint and ends at depth 5, and refuses a point in a gap."""
+    family = _FAMILY_VIEWS[view]()
+    deepest = family.stage(5)
+    for iv in deepest.intervals:
+        for point in (iv.lo, iv.midpoint, iv.hi):
+            enc = ClosedInterval(point, point)
+            assert family.interval_chain(enc, 5) == [
+                family.stage(d).interval_containing(enc) for d in range(6)]
+    for gap in bounded_gaps(deepest):
+        mid = (gap.lo + gap.hi) / 2
+        with pytest.raises(DomainError, match="is not inside any interval at depth"):
+            family.interval_chain(ClosedInterval(mid, mid), 5)
 
 
 @pytest.mark.parametrize("depth", [-1, True, 1.0, "1"])

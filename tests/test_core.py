@@ -1,6 +1,7 @@
 """Exact interval geometry: gaps, bridges, thickness, restriction, affine."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from thickset import (
     CantorStage,
     ClosedInterval,
     DomainError,
+    FunctionSpec,
     RandomThickSpec,
     SearchConfig,
     affine_image,
@@ -27,7 +29,14 @@ from thickset import (
     restrict,
     thickness,
 )
-from thickset.core import _bridge_reports_json, _json_text, _rational_text
+from thickset import cli
+from thickset.core import (
+    _bridge_reports_json,
+    _json_text,
+    _rational_text,
+    rational_str,
+    to_rational,
+)
 from conftest import (
     brute_local_thickness,
     brute_thickness,
@@ -591,3 +600,58 @@ def test_every_stage_the_constructors_accept_round_trips(points, depth):
         except DomainError:
             continue
         assert loads_stage(dumps_stage(stage)) == stage
+
+
+# ---------------------------------------------------------------------------
+# the int-string digit limit at the text edge
+# ---------------------------------------------------------------------------
+
+_HUGE_EXPONENTS = ["1e1000000000", "1e4301", "-1E-4301", " 2e+1_000_000 ", "1e" + "9" * 5000]
+
+
+@pytest.mark.parametrize("text", _HUGE_EXPONENTS)
+def test_a_huge_decimal_exponent_is_refused_before_it_is_computed(text):
+    """Fraction would compute 10**exponent first: 1e4000000 takes seconds."""
+    refusals = (
+        lambda: to_rational(text),
+        lambda: loads_stage(json.dumps({"depth": 1, "intervals": [["0", text]]})),
+        lambda: FunctionSpec.parse(f"1,{text}"),
+        lambda: cli._fraction(text),
+    )
+    for refuse in refusals:
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^decimal exponent out of range: its magnitude "
+                                              "may be at most 4300$"):
+            refuse()
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text", ["1e3", "+1/2", " 3/4 ", "1e4300", "-2.5E-4300", "1_0e0_1"])
+def test_rational_text_keeps_the_fraction_grammar_and_value(text):
+    assert to_rational(text) == F(text)
+    assert cli._fraction(text) == F(text)
+    assert FunctionSpec.parse(text).coefficients == (F(text),)
+    stage = loads_stage(json.dumps({"depth": 0, "intervals": [["-1", text]]}))
+    assert stage.max == F(text)
+
+
+def test_a_rational_too_long_to_write_is_a_domain_error():
+    """Every rational becomes text through these two functions."""
+    huge = F(1, 10 ** 4400)
+    with pytest.raises(DomainError, match=r"^rational too long to write: .*4300 digits"):
+        rational_str(huge)
+    with pytest.raises(DomainError, match=r"^rational too long to write: .*4300 digits"):
+        _rational_text(3, 10 ** 4400)
+    with pytest.raises(DomainError, match=r"^rational too long to write: "):
+        dumps_stage(make_stage([(0, huge)]))
+    assert rational_str(F(-1, 2)) == "-1/2" and _rational_text(4, 8) == "1/2"
+
+
+@pytest.mark.parametrize("text", [
+    '{"depth": 1, "intervals": [[0, %s]]}', '{"depth": %s, "intervals": [[0, 1]]}',
+], ids=["coordinate", "depth"])
+def test_a_json_integer_over_the_digit_limit_is_a_domain_error(text):
+    with pytest.raises(DomainError, match=r"^malformed stage JSON: .*4300 digits"):
+        loads_stage(text % ("1" + "0" * 5000))
+    with pytest.raises(json.JSONDecodeError):  # a decode error keeps its byte offset
+        loads_stage(text % "1" + ",")

@@ -353,7 +353,7 @@ def test_local_refinement_equals_the_base_family(tau, seed, placement, offset, p
     k = pick % top.count
     window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
     sub = RestrictedFamily(base, window, depth_offset=offset)
-    assert sub._local is not None
+    assert sub._refined is not None
     # The seeded tag is built from the reduced endpoints and the base depth.
     _assert_one_formula(sub, spec, 4)
     for level in range(5):
@@ -368,16 +368,18 @@ def test_family_stages_nest_and_restricted_stages_keep_their_depth(
         family, offset, pick, scale, shift):
     """The built-in refiners build no nesting check into their stages:
     ``check_nested_in`` and the Fraction oracle referee each chain, plain,
-    restricted locally and restricted through an affine view, and every
-    restricted stage keeps the depth it has in its base family."""
+    restricted locally and restricted through an affine view to a window
+    that clips an interval, so from whole stages, and every restricted
+    stage keeps the depth it has in its base family."""
     top = family.stage(offset)
     k = pick % top.count
-    window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
+    last = top.intervals[min(k + 1, top.count - 1)]
+    window = ClosedInterval(top.intervals[k].lo, last.hi)
     local = RestrictedFamily(family, window, depth_offset=offset)
     affine = AffineFamily(family, scale, shift)
-    ends = sorted((window.lo * scale + shift, window.hi * scale + shift))
+    ends = sorted((window.lo * scale + shift, last.midpoint * scale + shift))
     generic = RestrictedFamily(affine, ClosedInterval(*ends), depth_offset=offset)
-    assert local._local is not None and generic._local is None
+    assert local._refined is not None and generic._refined is None
     for fam, first in ((family, 0), (local, offset), (affine, 0), (generic, offset)):
         for level in range(6):
             stage = fam.stage(level)
@@ -386,6 +388,33 @@ def test_family_stages_nest_and_restricted_stages_keep_their_depth(
                 above = fam.stage(level - 1)
                 stage.check_nested_in(above)
                 assert nesting_problem(stage, above) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families, st.integers(0, 2), st.integers(0, 2), st.integers(0, 99), _scales, _shifts)
+def test_affine_and_nested_restrictions_refine_locally(
+        family, offset, inner_offset, pick, scale, shift):
+    """A restriction of an affine view and a restriction of a restriction
+    take the base's step, so they build no base stage below their offsets,
+    and each of their stages equals the whole-stage restriction at its
+    depth."""
+    def whole_intervals(stage):
+        k = pick % stage.count
+        return ClosedInterval(stage.intervals[k].lo,
+                              stage.intervals[min(k + 1, stage.count - 1)].hi)
+
+    affine = AffineFamily(family, scale, shift)
+    inner = RestrictedFamily(family, whole_intervals(family.stage(inner_offset)), inner_offset)
+    views = [(affine, 0), (inner, inner_offset)]
+    subs = [RestrictedFamily(view, whole_intervals(view.stage(offset)), offset)
+            for view, _ in views]
+    local = [sub.stages(0, 4) for sub in subs]
+    assert len(family._stages) == max(offset, inner_offset) + 1
+    for (view, first), sub, stages in zip(views, subs, local):
+        assert sub._refined is not None
+        for level, stage in enumerate(stages):
+            assert stage == restrict(view.stage(offset + level), sub.window)
+            assert stage.depth == first + offset + level
 
 
 def test_middle_alpha_local_refinement_matches_naive_arithmetic():
