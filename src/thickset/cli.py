@@ -24,6 +24,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -74,6 +75,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -n and -n.m as negative numbers, so -p/q (or
+        # -1e-3) would be taken for an option and leave `--quadratic -1/10`
+        # without its value; no option here starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # keep argparse from sys.exit(2)
         raise _UsageError(message)
 

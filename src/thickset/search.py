@@ -12,8 +12,10 @@ Three finders, all exact or certified:
   dominates, maps the bridge piece that carries t forward through the exact
   polynomial (f is increasing on the validated box, so f([a, b]) is
   [f(a), f(b)]) and intersects the deepest image exactly with the piece
-  that carries f(t).  The smooth-image thickness hypothesis is checked a
-  posteriori and exactly on the image of every level.  Only the witness
+  that carries f(t).  Each extracted level's thickness is checked once,
+  exactly, against the thickness gated on (the certified bound, else the
+  measured floor), and the smooth-image thickness hypothesis a posteriori
+  and exactly on the image of every level.  Only the witness
   offset t needs a certified inverse: two bisections, one per end of ``ft``.
 * ``verify_counterexample``: exact endpoint-inequality verification that the
   five-interval construction avoids {x - t, x, x + t^2} at its largest-gap
@@ -84,9 +86,6 @@ _DELTA_HALVINGS = 40
 # find_config gates a family that certifies no thickness bound on its
 # thickness floor over depths 1..CONFIG_GATE_DEPTH.
 CONFIG_GATE_DEPTH = 4
-# subset_extract asserts thickness preservation exactly on this many
-# refinement levels below the extracted bridge (and on the bridge itself).
-_VERIFIED_LEVELS = 4
 # The most intervals a stage may be asked for, by subset_extract's scan or a
 # CLI depth: `construct --random-thick 2 --depth 16` peaks at about 250 MB
 # and writes 39 MiB of JSON (Python 3.11 on a 2-core x86-64 host).
@@ -146,19 +145,16 @@ def subset_extract(
     delta: RationalLike,
     max_scan_depth: int = INTERVAL_BUDGET.bit_length() - 1,
 ) -> RestrictedFamily:
-    """Restrict a family to a bridge of hull width below delta, keeping
-    thickness.
+    """Restrict a family to a bridge of hull width below delta.
 
     Follows the constructive recipe: take the largest gap, look right of its
     right endpoint ``u`` for the first strictly shorter gap starting within
     min(|largest gap|, delta) of ``u``, and restrict to the left bridge of
     that gap.  The returned family is re-indexed to start at the first depth
     where both window endpoints are interval endpoints, so that every
-    returned stage is a genuine bridge restriction; per-level thickness
-    preservation is asserted exactly for the first ``_VERIFIED_LEVELS``
-    levels: the family's ``thickness_bound`` if it certifies one (a gap cut
-    later inside the window may outgrow the gap whose bridge it is), else
-    each level's own thickness.
+    returned stage is a genuine bridge restriction.  Thickness is not
+    measured here: ``find_config`` checks every level it uses once, against
+    the thickness it gated on.
     """
     delta = to_rational(delta)
     if delta <= 0:
@@ -210,19 +206,7 @@ def subset_extract(
     if base is None:
         raise InternalContradictionError("bridge endpoints never align with stage intervals")
 
-    sub = RestrictedFamily(family, window, depth_offset=base)
-    bound = family.thickness_bound
-    for level in range(_VERIFIED_LEVELS + 1):
-        piece = sub.stage(level)
-        if piece.count < 2:
-            continue
-        inner = thickness(piece).value
-        outer = bound if bound is not None else thickness(family.stage(base + level)).value
-        if inner < outer:
-            raise InternalContradictionError(
-                f"bridge restriction lost thickness at level {level}: {inner} < {outer}"
-            )
-    return sub
+    return RestrictedFamily(family, window, depth_offset=base)
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +575,21 @@ def _attempt_config(
     sub = subset_extract(family, delta)
     sub_stages = sub.stages(0, levels)
 
-    # Thickness must survive both the extraction and each refinement level.
-    # Below a certified bound that is a bug; below the floor gated on for a
-    # family that certifies none, the family is thin deeper than the gate.
+    # The one check of the extracted levels: each is measured once, against
+    # the tau gated on.  Below a certified bound that is a bug; below the
+    # floor gated on for a family that certifies none, the family is thin
+    # deeper than the gate.
     for level, piece in enumerate(sub_stages):
         if piece.count >= 2 and (value := thickness(piece).value) < tau:
+            depth = sub.depth_offset + level
             if family.thickness_bound is None:
                 raise HypothesisError(
-                    f"extracted family thickness {value} at depth "
-                    f"{sub.depth_offset + level} is below the floor {tau} "
-                    f"gated on over depths 1..{CONFIG_GATE_DEPTH}"
+                    f"extracted family thickness {value} at depth {depth} is below "
+                    f"the floor {tau} gated on over depths 1..{CONFIG_GATE_DEPTH}"
                 )
             raise InternalContradictionError(
-                f"extracted family lost thickness at level {level}"
+                f"extracted family lost thickness at level {level} (depth {depth}): "
+                f"{value} < certified bound {tau}"
             )
 
     fr = _orient_and_frame(sub_stages[-1])
@@ -862,6 +848,8 @@ def verify_counterexample(
 ) -> AvoidanceReport:
     """Full avoidance report for a (preferably calibrated) parameter set."""
     tol = to_rational(thickness_tol)
+    if tol < 0:
+        raise DomainError("tol must be nonnegative")
     parts = counterexample_parts(params)
     stage = counterexample_set(params)
     value = thickness(stage).value

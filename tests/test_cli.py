@@ -220,6 +220,28 @@ def test_sweep_reports_probe_outcomes(tmp_path, capsys):
     assert inside["3/2"] is False  # the window is open at its edge
 
 
+def test_negative_rational_option_values_parse(capsys):
+    """argparse's own negative-number pattern misses -p/q, which it would
+    read as an option and leave the flag without its value."""
+    sweep = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "1/2",
+             "--slope-max", "3/2", "--steps", "3", "--max-depth", "5"]
+    separate = run([*sweep, "--quadratic", "-1/10"], capsys)
+    joined = run([*sweep, "--quadratic=-1/10"], capsys)
+    assert separate == joined and separate[0] == 0
+    assert separate != run(sweep, capsys)  # the quadratic term was read
+    code, _, err = run(["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "-1/2",
+                        "--slope-max", "1", "--steps", "2", "--max-depth", "3"], capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("c", [[], ["--c", "99/100"]], ids=["calibrated", "explicit-c"])
+def test_verify_counterexample_refuses_a_negative_tol(c, capsys):
+    code, out, err = run(["verify-counterexample", "--tau", "101/100", "--eps", "1/1000",
+                          *c, "--tol", "-1"], capsys)
+    assert (code, out) == (3, "")
+    assert "tol must be nonnegative" in err
+
+
 def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
     # find-config names its tau when it rejects a slope outside the window:
     # the family's certified bound, which sweep reports too.

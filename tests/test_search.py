@@ -389,6 +389,63 @@ def test_find_config_family_thin_below_the_gate_is_a_hypothesis_violation():
         find_config(family, FunctionSpec((F(1),)), SearchConfig(max_depth=8))
 
 
+def _window_thinner_than_its_level_without_a_bound() -> RefinableFamily:
+    """The cuts of the random-thick family in
+    ``test_subset_extract_keeps_the_certified_bound_of_a_window_thinner_than_its_level``,
+    made by a user refiner, so the family certifies no bound."""
+    root = ClosedInterval(F(0), F(1, 45))
+    cuts = random_thick_family(RandomThickSpec(F(3, 2), 0, 81, F(5, 7)), root)
+
+    def refine(iv: ClosedInterval, depth: int):
+        return [c for c in cuts.stage(depth + 1).intervals if iv.contains_interval(c)]
+
+    return RefinableFamily(CantorStage((root,)), refine, name="thin-window")
+
+
+@pytest.mark.parametrize("delta", [F(1, 180), F(1, 200)])
+@pytest.mark.parametrize("f", [FunctionSpec((F(1),)), GENTLE], ids=["identity", "gentle"])
+def test_find_config_window_thinner_than_the_floor_is_a_hypothesis_violation(delta, f):
+    """A window may be thinner than its whole level; with no certified bound
+    that is the family thin below the gate, not a bug."""
+    family = _window_thinner_than_its_level_without_a_bound()
+    assert family.thickness_bound is None
+    with pytest.raises(HypothesisError,
+                       match=r"^extracted family thickness 685553/451542 at depth 3 "
+                             r"is below the floor "):
+        find_config(family, f, SearchConfig(delta=delta, max_depth=8))
+
+
+@pytest.mark.parametrize("make, thin", [
+    (lambda: middle_alpha_family(F(1, 5)), False), (right_heavy_family, False),
+    (lambda: thin_below_family(5), True),
+], ids=["middle-alpha", "right-heavy", "thin-below"])
+def test_find_config_measures_no_stage_twice(make, thin, monkeypatch):
+    measured = []
+    real = search.thickness
+    monkeypatch.setattr(search, "thickness", lambda stage: measured.append(stage) or real(stage))
+    try:
+        find_config(make(), GENTLE, SearchConfig(max_depth=8))
+    except HypothesisError:
+        assert thin  # only thin-below is thin below its gate
+    assert measured
+    assert len({id(stage) for stage in measured}) == len(measured)
+
+
+def test_find_config_without_a_bound_builds_whole_stages_only_to_the_gate():
+    family = right_heavy_family()
+    find_config(family, GENTLE, SearchConfig(max_depth=8))
+    assert len(family._stages) - 1 == search.CONFIG_GATE_DEPTH == 4
+
+
+def test_find_config_below_a_false_certified_bound_is_a_bug_named_by_depth():
+    family = middle_alpha_family(F(1, 5))  # thickness 2 at every depth
+    family.thickness_bound = F(3)
+    with pytest.raises(InternalContradictionError,
+                       match=r"^extracted family lost thickness at level 1 \(depth 5\): "
+                             r"2 < certified bound 3$"):
+        find_config(family, GENTLE, SearchConfig(max_depth=8))
+
+
 # Witnesses are a function of (x, t, ft, depth): the chains follow from them
 # through the family, so pinning these four fields pins the whole JSON.
 PINNED_WITNESSES = {
@@ -602,6 +659,17 @@ def test_verify_counterexample_large_eps_fails_left_anchor_check():
 def test_verify_counterexample_eps_half_is_a_construction_error():
     with pytest.raises(ConstructionError):
         verify_counterexample(make_counterexample_params(F(101, 100), F(1, 2), F(99, 100)))
+
+
+def test_verify_counterexample_refuses_a_negative_tol_as_calibration_does():
+    params = make_counterexample_params(F(101, 100), F(1, 1000), F(99, 100))
+    for refuse in (lambda tol: verify_counterexample(params, thickness_tol=tol),
+                   lambda tol: counterexample_calibrate(F(101, 100), F(1, 1000), tol)):
+        with pytest.raises(DomainError, match="^tol must be nonnegative$"):
+            refuse(-1)
+        with pytest.raises(DomainError, match="^tol must be nonnegative$"):
+            refuse(F(-1, 10 ** 9))
+    assert verify_counterexample(params, thickness_tol=0).checks  # zero is a tolerance
 
 
 def test_avoidance_checks_catch_tampered_parts():
