@@ -313,6 +313,8 @@ def _cmd_find_config(args) -> int:
 
 
 def _counterexample_params(args):
+    if args.tol < 0:  # refused on both paths, although only calibration reads it
+        raise DomainError("tol must be nonnegative")
     if args.c is not None:
         return make_counterexample_params(args.tau, args.eps, args.c)
     return counterexample_calibrate(args.tau, args.eps, args.tol)
@@ -414,6 +416,7 @@ def _cmd_sweep(args) -> int:
         "mode": "experimental slope probe; outcomes outside the window are "
                 "observations, not guarantees",
         "family": args.set_family,
+        "quadratic": quad,
         "tau": rational_str(tau),
         "window": None if window is None else [rational_str(window.lower),
                                                rational_str(window.upper)],

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -33,7 +34,7 @@ from .core import (
     Gap,
     RationalLike,
     _endpoint_index,
-    _rational_text,
+    _endpoint_texts,
     _require_int,
     affine_image,
     restrict,
@@ -105,30 +106,43 @@ class StageFamily:
 class _GridRefiner:
     """A built-in construction's refinement as one integer formula.
 
-    ``cut(x, y, den, depth)`` takes interval [x/den, y/den] of a grid over
+    ``cut(x, y, depth, name)`` takes interval [x/den, y/den] of a grid over
     any denominator ``den`` and returns the integers (a, b) that split it
     into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
     applies the formula to a whole stage grid at the stage's depth and
     builds the child stage, nested by construction, from the child grid
     alone.
+
+    A ``named`` cut's ``name`` is the lowest-terms texts of x/den and y/den
+    (else None), from ``core._endpoint_texts``; the child's memo ``_texts``
+    gets the parent's texts for its ends x*factor and y*factor, so each
+    endpoint is written once, by the first stage that has it, when that
+    stage is refined or written out.
     """
 
-    def __init__(self, factor: int, cut: Callable[[int, int, int, int], tuple[int, int]]):
+    def __init__(self, factor: int, cut: Callable[..., tuple[int, int]], named: bool = False):
         self.factor = factor
         self.cut = cut
+        self.named = named
 
     def refine(self, parent: CantorStage) -> CantorStage:
         den, lo, hi = parent._grid
         m, cut, depth = self.factor, self.cut, parent.depth
+        texts = _endpoint_texts(parent) if self.named else None
         clo: list[int] = []
         chi: list[int] = []
-        for x, y in zip(lo, hi):
-            a, b = cut(x, y, den, depth)
+        for x, y, name in zip(lo, hi, repeat(None) if texts is None else zip(*texts)):
+            a, b = cut(x, y, depth, name)
             clo += (x * m, b)
             chi += (a, y * m)
         # [x*m, a] and [b, y*m] pass the order and disjointness checks only if
         # x*m <= a < b <= y*m, inside [x, y]: a nesting check could never fail.
-        return CantorStage._from_grid((den * m, clo, chi), depth + 1)
+        child = CantorStage._from_grid((den * m, clo, chi), depth + 1)
+        if texts is not None:
+            clt, cht = [None] * len(clo), [None] * len(chi)
+            clt[::2], cht[1::2] = texts
+            child.__dict__["_texts"] = clt, cht
+        return child
 
 
 class RefinableFamily(StageFamily):
@@ -226,7 +240,7 @@ class AffineFamily(StageFamily):
 def _middle_alpha_refiner(alpha: Fraction) -> _GridRefiner:
     bn, bd = ((1 - alpha) / 2).as_integer_ratio()
 
-    def cut(x: int, y: int, _den: int, _depth: int) -> tuple[int, int]:
+    def cut(x: int, y: int, _depth: int, _name: None) -> tuple[int, int]:
         # Over den*bd, beta * width is bn * (y - x).
         keep = bn * (y - x)
         return x * bd + keep, y * bd - keep
@@ -295,11 +309,12 @@ class RandomThickSpec:
 _SHARE_BITS = 16
 
 
-def _seeded_share(tag: str) -> int:
-    """Deterministic pseudo-random numerator in [0, 2**_SHARE_BITS) from a
-    string tag; the share is that numerator over 2**_SHARE_BITS."""
-    digest = hashlib.sha256(tag.encode()).digest()
-    return int.from_bytes(digest[:_SHARE_BITS // 8], "big")
+def _seeded_share(tag, suffix: bytes) -> int:
+    """Deterministic pseudo-random numerator in [0, 2**_SHARE_BITS) from
+    ``tag``, a sha256 state, updated with ``suffix``; the share is that
+    numerator over 2**_SHARE_BITS."""
+    tag.update(suffix)
+    return int.from_bytes(tag.digest()[:_SHARE_BITS // 8], "big")
 
 
 def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
@@ -316,17 +331,18 @@ def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     # cd = 2*unit*crit*pd.
     cd = 2 * unit * crit * pd
 
-    def cut(x: int, y: int, den: int, depth: int) -> tuple[int, int]:
-        # The tag names the interval by its lowest-terms endpoints.
-        tag = f"{spec.seed}:{depth}:{_rational_text(x, den)}:{_rational_text(y, den)}"
-        sn = unit + _seeded_share(tag + ":len")
-        pn = _seeded_share(tag + ":pos") if placement is None else placement.numerator
+    def cut(x: int, y: int, depth: int, name: tuple[str, str]) -> tuple[int, int]:
+        # The tag names the interval by its lowest-terms endpoints; it is
+        # hashed once, and the state copied for the second suffix.
+        tag = hashlib.sha256(f"{spec.seed}:{depth}:{name[0]}:{name[1]}".encode())
+        pn = _seeded_share(tag.copy(), b":pos") if placement is None else placement.numerator
+        sn = unit + _seeded_share(tag, b":len")
         left = tn * sn * pd + pn * (2 * unit - sn) * crit
         right = left + sn * td * pd
         base, width = x * cd, y - x
         return base + width * left, base + width * right
 
-    return _GridRefiner(cd, cut)
+    return _GridRefiner(cd, cut, named=True)
 
 
 def random_thick_family(

@@ -91,14 +91,19 @@ def _require_int(name: str, value, least: Optional[int] = None) -> None:
 
 def rational_str(value: Fraction) -> str:
     """Lowest-terms string form, e.g. '2/3', '-1/2', '4'."""
-    return _rational_text(value.numerator, value.denominator)
+    return _lowest_terms_text(value.numerator, value.denominator)
 
 
 def _rational_text(n: int, d: int) -> str:
     """``rational_str(Fraction(n, d))`` for d > 0, from one gcd."""
     g = math.gcd(n, d)
+    return _lowest_terms_text(n // g, d // g)
+
+
+def _lowest_terms_text(n: int, d: int) -> str:
+    """The text of n/d in lowest terms, d > 0, as a Fraction holds it."""
     try:
-        return str(n // g) if d == g else f"{n // g}/{d // g}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:
         raise DomainError(f"rational too long to write: {exc}") from exc
 
@@ -255,6 +260,12 @@ class CantorStage:
     ``stage_to_json`` writes its text from the grid.  The public constructor
     and ``make_stage`` hold their intervals from the start.  Equality,
     hashing, ``repr`` and pickling see the same stage either way.
+
+    A random-thick stage also holds the private memo ``_texts`` that its
+    grid refiner fills: lists parallel to ``lo`` and ``hi`` with the text of
+    each endpoint inherited from its parent, None for the rest, which
+    ``_endpoint_texts`` writes in.  It is derived from the grid, never read
+    in its place, and left out of copies and pickles.
     """
 
     intervals: tuple[ClosedInterval, ...]
@@ -289,6 +300,9 @@ class CantorStage:
         ivs = tuple(_trusted_interval(Fraction(x, den), Fraction(y, den)) for x, y in zip(lo, hi))
         self.__dict__["intervals"] = ivs
         return ivs
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_texts"}
 
     def _interval(self, k: int) -> ClosedInterval:
         """Interval k, from ``intervals`` once built, else from the grid."""
@@ -562,9 +576,7 @@ def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
 def _bridge_reports_json(stage: CantorStage) -> list[dict]:
     """``[r.to_json() for r in all_bridge_reports(stage)]`` from the bridge
     rows, each endpoint's text written once off the grid: no report built."""
-    den, lo, hi = stage._grid
-    lo_text = [_rational_text(x, den) for x in lo]
-    hi_text = [_rational_text(x, den) for x in hi]
+    lo_text, hi_text = _endpoint_texts(stage)
     reports = []
     for i, side, first, last, local in _bridge_rows(stage):
         a, b = hi_text[i], lo_text[i + 1]
@@ -685,13 +697,22 @@ def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -
 # Serialization: {"depth": n, "intervals": [["p/q", "r/s"], ...]}
 # ---------------------------------------------------------------------------
 
-def stage_to_json(stage: CantorStage) -> dict:
-    """The stage object, its 'p/q' strings written from the grid."""
+def _endpoint_texts(stage: CantorStage) -> tuple[list[str], list[str]]:
+    """The texts of the grid's ``lo`` and ``hi`` endpoints: those the memo
+    holds, the rest written from the grid (and kept, if it has a memo)."""
     den, lo, hi = stage._grid
-    return {
-        "depth": stage.depth,
-        "intervals": [[_rational_text(x, den), _rational_text(y, den)] for x, y in zip(lo, hi)],
-    }
+    memo = stage.__dict__.get("_texts")
+    if memo is None:
+        return [_rational_text(x, den) for x in lo], [_rational_text(x, den) for x in hi]
+    for ends, texts in zip((lo, hi), memo):
+        texts[:] = [t or _rational_text(x, den) for x, t in zip(ends, texts)]
+    return memo
+
+
+def stage_to_json(stage: CantorStage) -> dict:
+    """The stage object, with the 'p/q' strings ``_endpoint_texts`` gives."""
+    lo, hi = _endpoint_texts(stage)
+    return {"depth": stage.depth, "intervals": [[a, b] for a, b in zip(lo, hi)]}
 
 
 # An integer or 'p/q' token in ASCII digits; every other token goes through

@@ -242,6 +242,28 @@ def test_verify_counterexample_refuses_a_negative_tol(c, capsys):
     assert "tol must be nonnegative" in err
 
 
+@pytest.mark.parametrize("c", [[], ["--c", "99/100"]], ids=["calibrated", "explicit-c"])
+def test_counterexample_refuses_a_negative_tol(c, tmp_path, capsys):
+    """With --c the tolerance is never read, and is refused all the same."""
+    parts = tmp_path / "parts.json"
+    code, out, err = run(["counterexample", "--tau", "101/100", "--eps", "1/1000",
+                          *c, "--tol", "-1", "--parts", str(parts)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: tol must be nonnegative\n"
+    assert not parts.exists()
+
+
+def test_sweep_records_its_quadratic_term(capsys):
+    sweep = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "3/4",
+             "--slope-max", "5/4", "--steps", "2", "--max-depth", "3"]
+    quadratics = []
+    for extra in (["--quadratic", "-1/10"], ["--quadratic", "1/10"], []):
+        code, out, _ = run([*sweep, *extra], capsys)
+        assert code == 0
+        quadratics.append(json.loads(out)["quadratic"])
+    assert quadratics == ["-1/10", "1/10", None]
+
+
 def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
     # find-config names its tau when it rejects a slope outside the window:
     # the family's certified bound, which sweep reports too.

@@ -31,6 +31,8 @@ from thickset import (
     restrict,
     thickness,
 )
+from thickset import core
+from thickset.core import stage_to_json
 from conftest import (
     brute_thickness,
     naive_middle_alpha_children,
@@ -281,6 +283,29 @@ def test_random_thick_refiner_matches_naive_arithmetic(tau, seed, placement, bas
 def test_middle_alpha_refiner_matches_naive_arithmetic(alpha, base):
     family = middle_alpha_family(alpha, base)
     _refines_like(family, lambda lo, hi, d: naive_middle_alpha_children(lo, hi, alpha), 3)
+
+
+def test_random_thick_refinement_writes_each_endpoint_text_once(monkeypatch):
+    """Building to depth 8 writes the root's two texts and each depth-k
+    stage's 2**k cut points for k = 1..7: 256, where two texts per cut are
+    510.  Writing a refined stage writes none; writing the deepest writes
+    its own cut points, half of its endpoints.  Middle-alpha names no
+    interval and writes none."""
+    calls = []
+    write = core._rational_text
+    monkeypatch.setattr(core, "_rational_text", lambda n, d: calls.append(d) or write(n, d))
+    family = random_thick_family(RandomThickSpec(F(2), 0, 1))
+    family.stage(8)
+    assert len(calls) == 256 == 2 + sum(2 ** k for k in range(1, 8))
+    stage_to_json(family.stage(7))
+    assert len(calls) == 256
+    stage_to_json(family.stage(8))
+    assert len(calls) == 256 + 256
+    del calls[:]
+    stage = middle_alpha_family(F(1, 3)).stage(8)
+    assert calls == [] and "_texts" not in stage.__dict__
+    stage_to_json(stage)
+    assert len(calls) == 2 * stage.count
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from thickset import (
     restrict,
     thickness,
 )
-from thickset.core import _polynomial_image, stage_from_json, stage_to_json
+from thickset.constructions import _GridRefiner
+from thickset.core import _polynomial_image, rational_str, stage_from_json, stage_to_json
 from thickset.functions import Polynomial, sign_on_interval
 from thickset.render import render_stage_svg
 from thickset.search import largest_gap_frame, subset_extract
@@ -781,6 +782,95 @@ def test_built_in_refinement_builds_no_fraction(name):
         assert [(iv.lo, iv.hi) for iv in stage.intervals] == expected
         assert json.loads(text) == {"depth": d,
                                     "intervals": [iv.to_json() for iv in stage.intervals]}
+
+
+def _held_texts(stage: CantorStage) -> list[tuple[F, str]]:
+    """(endpoint, text) for every endpoint text the stage's memo holds."""
+    den, lo, hi = stage._grid
+    memo = stage.__dict__.get("_texts", ([None] * len(lo), [None] * len(hi)))
+    return [(F(x, den), text) for ends, texts in zip((lo, hi), memo)
+            for x, text in zip(ends, texts) if text is not None]
+
+
+@contextlib.contextmanager
+def _refinements():
+    """Yields a list of (parent, child, texts the child holds as built) for
+    every refinement a built-in refiner makes inside the block."""
+    seen = []
+    refine = _GridRefiner.refine
+
+    def recording(self, parent):
+        child = refine(self, parent)
+        seen.append((parent, child, len(_held_texts(child))))
+        return child
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_GridRefiner, "refine", recording)
+        yield seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(_taus, st.integers(0, 2 ** 64 - 1), _placements,
+       st.sampled_from(["plain", "restricted", "affine"]), st.integers(0, 2),
+       st.integers(0, 99), _scales, _shifts)
+def test_every_text_a_random_thick_stage_holds_is_its_endpoint(
+        tau, seed, placement, view, offset, pick, scale, shift):
+    """Plain, with a gap placement, restricted locally and through an
+    affine view's conjugated step: every stage a refinement builds is the
+    Fraction oracle's children of its parent, and every endpoint text its
+    memo holds, before and after it is refined and written, is
+    ``rational_str`` of that endpoint."""
+    spec = RandomThickSpec(tau, 0, seed, placement)
+    family = random_thick_family(spec)
+    if view != "plain":
+        if view == "affine":
+            family = AffineFamily(family, scale, shift)
+        top = family.stage(offset)
+        k = pick % top.count
+        window = ClosedInterval(top.intervals[k].lo, top.intervals[min(k + 1, top.count - 1)].hi)
+        family = RestrictedFamily(family, window, depth_offset=offset)
+        assert family._refined is not None
+    with _refinements() as seen:
+        stages = family.stages(0, 5)
+    assert len(seen) == 5
+    for parent, child, held in seen:
+        assert child.depth == parent.depth + 1
+        expected = [c for iv in parent.intervals
+                    for c in naive_random_thick_children(iv.lo, iv.hi, parent.depth, spec)]
+        assert [(iv.lo, iv.hi) for iv in child.intervals] == expected
+        # Built holding its parent's texts, half of its endpoints; refined,
+        # holding all of them.
+        assert held == child.count
+        assert len(_held_texts(parent)) in (0, 2 * parent.count)
+        for stage in (parent, child):
+            assert all(text == rational_str(x) for x, text in _held_texts(stage))
+    for stage in stages:
+        assert stage_to_json(stage) == {"depth": stage.depth,
+                                        "intervals": [iv.to_json() for iv in stage.intervals]}
+        assert all(text == rational_str(x) for x, text in _held_texts(stage))
+
+
+@pytest.mark.parametrize("view", ["plain", "restricted"])
+def test_refined_stages_compare_hash_pickle_and_copy_as_without_texts(view):
+    """The text memo is invisible: a refined stage, whether its memo is
+    half or wholly written, pickles to the bytes of a stage built from its
+    grid alone, and its copies hold no memo."""
+    family = random_thick_family(RandomThickSpec(F(3, 2), 0, 5, None))
+    if view == "restricted":
+        family = RestrictedFamily(family, family.stage(2).intervals[1], depth_offset=2)
+    for stage in family.stages(1, 5):
+        plain = CantorStage._from_grid(stage._grid, stage.depth)
+        for _ in range(2):  # before and after intervals and every text are built
+            assert "_texts" in stage.__dict__
+            assert pickle.dumps(stage) == pickle.dumps(plain)
+            copies = [pickle.loads(pickle.dumps(stage)), copy.deepcopy(stage), copy.copy(stage)]
+            for other in [*copies, stage]:
+                assert other._grid == stage._grid
+                assert other == plain and plain == other and hash(other) == hash(plain)
+            assert not any("_texts" in c.__dict__ for c in copies)
+            assert stage.intervals == plain.intervals
+            stage_to_json(stage)
+            assert None not in stage._texts[0] + stage._texts[1]
 
 
 def _assert_json_from_the_grid(stage):
