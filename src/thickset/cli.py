@@ -27,7 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import render as render_mod
 from .constructions import (
@@ -41,8 +41,7 @@ from .constructions import (
     random_thick_family,
 )
 from .core import (
-    _bridge_reports_json,
-    _json_text,
+    _bridges_json,
     dumps_stage,
     loads_stage,
     rational_str,
@@ -100,16 +99,17 @@ def _fraction(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r} ({exc})") from exc
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
+def _write_out(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write the text, or its chunks in turn, and a closing newline to the
+    file named ``out``, or to stdout when there is none."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.writelines(chunks)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _load_stage_file(path: str):
@@ -254,7 +254,7 @@ def _cmd_thickness(args) -> int:
     value, argmin = thickness(stage)
     if args.as_json:
         payload = {"thickness": rational_str(value), "argmin": argmin.to_json()}
-        _write_out(_json_text(payload), args.out)
+        _write_out(json.dumps(payload, indent=2), args.out)
     else:
         text = (
             f"{rational_str(value)}\n"
@@ -267,7 +267,7 @@ def _cmd_thickness(args) -> int:
 
 def _cmd_bridges(args) -> int:
     stage = _load_stage_file(args.stage)
-    _write_out(_json_text({"reports": _bridge_reports_json(stage)}), args.out)
+    _write_out(_bridges_json(stage), args.out)
     return 0
 
 
@@ -280,7 +280,7 @@ def _cmd_check_gap_lemma(args) -> int:
         "verdict": verdict.to_json(),
         "intersection": None if witness is None else witness.to_json(),
     }
-    _write_out(_json_text(payload), args.out)
+    _write_out(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -288,7 +288,7 @@ def _cmd_find_3ap(args) -> int:
     _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
     witness = find_3ap(family, max_depth=args.max_depth)
-    _write_out(_json_text(witness.to_json()), args.out)
+    _write_out(json.dumps(witness.to_json(), indent=2), args.out)
     return 0
 
 
@@ -308,7 +308,7 @@ def _cmd_find_config(args) -> int:
         f"delta {rational_str(result.delta)}, reflected {result.reflected}",
         file=sys.stderr,
     )
-    _write_out(_json_text(result.witness.to_json()), args.out)
+    _write_out(json.dumps(result.witness.to_json(), indent=2), args.out)
     return 0
 
 
@@ -337,14 +337,14 @@ def _cmd_counterexample(args) -> int:
         payload["tau"] = rational_str(params.tau)
         payload["eps"] = rational_str(params.eps)
         payload["c"] = rational_str(params.c)
-        _write_out(_json_text(payload), args.parts)
+        _write_out(json.dumps(payload, indent=2), args.parts)
     return 0
 
 
 def _cmd_verify_counterexample(args) -> int:
     params = _counterexample_params(args)
     report = verify_counterexample(params, thickness_tol=args.tol)
-    _write_out(_json_text(report.to_json()), args.out)
+    _write_out(json.dumps(report.to_json(), indent=2), args.out)
     return 0 if report.all_passed else 1
 
 
@@ -422,7 +422,7 @@ def _cmd_sweep(args) -> int:
                                                rational_str(window.upper)],
         "results": results,
     }
-    _write_out(_json_text(payload), args.out)
+    _write_out(json.dumps(payload, indent=2), args.out)
     return 0
 
 

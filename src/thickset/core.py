@@ -43,7 +43,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote  # C when _json is built
+from itertools import chain
 from operator import eq, le, lt, ne
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -573,17 +573,31 @@ def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     return [_bridge_report(interval, row) for row in _bridge_rows(stage)]
 
 
-def _bridge_reports_json(stage: CantorStage) -> list[dict]:
-    """``[r.to_json() for r in all_bridge_reports(stage)]`` from the bridge
-    rows, each endpoint's text written once off the grid: no report built."""
-    lo_text, hi_text = _endpoint_texts(stage)
-    reports = []
+# The frame of the ``bridges`` payload and one report in it, each text a
+# "%s": json.dumps lays out the fixed shape, and the writer fills in sides
+# and rational texts, which JSON quotes unchanged.
+_REPORTS_HEAD, _REPORTS_TAIL = '{\n  "reports": [', "\n  ]\n}"
+_BRIDGE_REPORT = json.dumps({"reports": [{
+    "endpoint": "%s", "side": "%s", "gap": ["%s", "%s"], "bridge": ["%s", "%s"],
+    "local_thickness": "%s"}]}, indent=2)[len(_REPORTS_HEAD):-len(_REPORTS_TAIL)]
+
+
+def _bridges_json(stage: CantorStage) -> Iterable[str]:
+    """``json.dumps({"reports": [r.to_json() for r in all_bridge_reports(stage)]},
+    indent=2)`` in chunks of one report each, from the bridge rows and each
+    endpoint's text written once off the grid: no report built.  Every text
+    is written before this returns, so the iteration only formats and cannot
+    raise."""
+    lo, hi = _endpoint_texts(stage)
+    fields = []
     for i, side, first, last, local in _bridge_rows(stage):
-        a, b = hi_text[i], lo_text[i + 1]
-        endpoint, bridge = (a, [lo_text[first], a]) if side == LEFT else (b, [b, hi_text[last]])
-        reports.append({"endpoint": endpoint, "side": side, "gap": [a, b], "bridge": bridge,
-                        "local_thickness": rational_str(local)})
-    return reports
+        a, b = hi[i], lo[i + 1]
+        bridge = (lo[first], a) if side == LEFT else (b, hi[last])
+        fields.append((a if side == LEFT else b, side, a, b, *bridge, rational_str(local)))
+    if not fields:
+        return ('{\n  "reports": []\n}',)
+    reports = map(_BRIDGE_REPORT.__mod__, fields)
+    return chain((_REPORTS_HEAD, next(reports)), map(",".__add__, reports), (_REPORTS_TAIL,))
 
 
 class ThicknessResult(NamedTuple):
@@ -715,21 +729,24 @@ def stage_to_json(stage: CantorStage) -> dict:
     return {"depth": stage.depth, "intervals": [[a, b] for a, b in zip(lo, hi)]}
 
 
-# An integer or 'p/q' token in ASCII digits; every other token goes through
-# to_rational, so Fraction keeps deciding what it accepts and its error text.
-_GRID_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _token_ratio(token) -> tuple[int, int]:
+def _token_ratio(token, dens: dict[str, int]) -> tuple[int, int]:
     """A coordinate token as (numerator, positive denominator), not
-    necessarily in lowest terms."""
+    necessarily in lowest terms.  An int or an ASCII '-?digits[/digits]'
+    string is read here, each denominator text converted once per file
+    through ``dens``; every other token goes through to_rational, so
+    Fraction keeps deciding what it accepts and its error text."""
     if type(token) is int:
         return token, 1
-    if type(token) is str and (m := _GRID_TOKEN.fullmatch(token)):
-        num, den = m.groups()
-        q = 1 if den is None else int(den)
-        if q:
-            return int(num), q
+    if type(token) is str and token.isascii():
+        num, slash, den = token.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            q = dens.get(den)
+            if q is None and den.isdigit():
+                q = dens[den] = int(den)
+            if q:
+                return int(num), q
     return to_rational(token).as_integer_ratio()
 
 
@@ -743,9 +760,10 @@ def stage_from_json(data: dict) -> CantorStage:
         depth = data["depth"]
         pairs = data["intervals"]
         _require_int("stage depth", depth)
+        dens: dict[str, int] = {}
         ends = []
         for lo, hi in pairs:
-            (a, p), (b, q) = _token_ratio(lo), _token_ratio(hi)
+            (a, p), (b, q) = _token_ratio(lo, dens), _token_ratio(hi, dens)
             if a * q > b * p:
                 raise DomainError(
                     f"interval endpoints out of order: [{Fraction(a, p)}, {Fraction(b, q)}]"
@@ -757,43 +775,20 @@ def stage_from_json(data: dict) -> CantorStage:
     return CantorStage._from_grid(grid, depth, any(map(eq, grid[1], grid[2])))
 
 
-def _json_text(value, indent: int | str | None = 2) -> str:
-    """``json.dumps(value, indent=indent)`` byte for byte, without the
-    standard library's pure-Python indented encoder: strings go through the
-    C ``encode_basestring_ascii``, a list of strings is joined in one step,
-    and other scalars and dicts with a non-string key go to ``json.dumps``."""
+def dumps_stage(stage: CantorStage, indent: int | str | None = None) -> str:
+    """``json.dumps(stage_to_json(stage), indent=indent)``, byte for byte,
+    one f-string per interval: every endpoint text is ``[-0-9/]``, which
+    JSON quotes unchanged."""
+    lo, hi = _endpoint_texts(stage)
     if indent is None:
-        return json.dumps(value)
-    out: list[str] = []
-    _emit_json(value, "\n", indent if isinstance(indent, str) else " " * indent, out.append)
-    return "".join(out)
-
-
-def _emit_json(value, nl: str, pad: str, write) -> None:
-    """Write ``value``'s text after ``nl``, the newline and indent it starts on."""
-    inner = nl + pad
-    if isinstance(value, str):
-        write(_quote(value))
-    elif isinstance(value, (list, tuple)) and value:
-        try:
-            write("[" + inner + ("," + inner).join(map(_quote, value)) + nl + "]")
-        except TypeError:  # an item that is not a string
-            for k, item in enumerate(value):
-                write(("," if k else "[") + inner)
-                _emit_json(item, inner, pad, write)
-            write(nl + "]")
-    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        for k, (key, item) in enumerate(value.items()):
-            write(("," if k else "{") + inner + _quote(key) + ": ")
-            _emit_json(item, inner, pad, write)
-        write(nl + "}")
-    else:  # JSON strings escape every newline, so each one here is layout
-        write(json.dumps(value, indent=pad).replace("\n", nl))
-
-
-def dumps_stage(stage: CantorStage, indent: int | None = None) -> str:
-    """``json.dumps(stage_to_json(stage), indent=indent)``, byte for byte."""
-    return _json_text(stage_to_json(stage), indent)
+        pairs = ", ".join([f'["{a}", "{b}"]' for a, b in zip(lo, hi)])
+        return f'{{"depth": {stage.depth}, "intervals": [{pairs}]}}'
+    pad = indent if isinstance(indent, str) else " " * indent
+    n1 = "\n" + pad
+    n2 = n1 + pad
+    n3 = n2 + pad
+    pairs = ("," + n2).join([f'[{n3}"{a}",{n3}"{b}"{n2}]' for a, b in zip(lo, hi)])
+    return f'{{{n1}"depth": {stage.depth},{n1}"intervals": [{n2}{pairs}{n1}]\n}}'
 
 
 def loads_stage(text: str) -> CantorStage:

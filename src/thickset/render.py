@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .core import CantorStage, _bridge_rows
+from .core import CantorStage, _bridge_rows, rational_str
 
 _WIDTH = 960.0
 _PAD = 40.0
@@ -106,7 +106,7 @@ def render_stage_svg(stage: CantorStage, log_scale: bool = False) -> str:
             f'C {mid:.2f} {y + 6:.2f} {b:.2f} {y:.2f} {b:.2f} {y + 8:.2f}" '
             f'fill="none" stroke="#3465a4" stroke-width="1.2" />'
             f'<text class="bridge-label" x="{mid:.2f}" y="{y - 3:.2f}" font-size="9" '
-            f'text-anchor="middle" fill="#3465a4">{row[-1]}</text>'
+            f'text-anchor="middle" fill="#3465a4">{rational_str(row[-1])}</text>'
         )
     out.append("</svg>")
     return "".join(out)

@@ -425,6 +425,34 @@ def test_counterexample_too_long_to_write_is_exit_3(capsys, verb):
     assert err.count("\n") == 1
 
 
+def _too_long_local_thickness(tmp_path):
+    """A stage whose endpoints write, with 2,201-digit denominators, but
+    whose local thicknesses are ratios of two such gaps: over 4,300 digits."""
+    a, b, c = 4 * 10 ** 2200 + 1, 3 * 10 ** 2200 + 7, 2 * 10 ** 2200 + 9
+    stage_file = tmp_path / "long.json"
+    stage_file.write_text(json.dumps(
+        {"depth": 1, "intervals": [["0", f"1/{a}"], [f"1/{b}", f"1/{c}"], ["1/7", "1"]]}))
+    return str(stage_file)
+
+
+@pytest.mark.parametrize("verb", ["render", "bridges"])
+def test_a_label_too_long_to_write_is_exit_3(tmp_path, capsys, verb):
+    code, out, err = run([verb, _too_long_local_thickness(tmp_path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rational too long to write: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["render", "bridges"])
+def test_a_failed_write_leaves_the_out_file_untouched(tmp_path, capsys, verb):
+    """Every text is written before --out is opened."""
+    out = tmp_path / "out.json"
+    out.write_bytes(b"kept\n")
+    code, _, err = run([verb, _too_long_local_thickness(tmp_path), "--out", str(out)], capsys)
+    assert code == 3 and err.startswith("error: rational too long to write: ")
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--middle-alpha", "1e1000000000", "--depth", "2"],
     ["find-config", "--set-family", "random-thick:1e-1000000000", "--f", "1"],

@@ -1,6 +1,10 @@
 """Exact interval geometry: gaps, bridges, thickness, restriction, affine."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction as F
 
@@ -26,13 +30,13 @@ from thickset import (
     make_stage,
     middle_alpha,
     middle_alpha_family,
+    random_thick_family,
     restrict,
     thickness,
 )
 from thickset import cli
 from thickset.core import (
-    _bridge_reports_json,
-    _json_text,
+    _bridges_json,
     _rational_text,
     rational_str,
     to_rational,
@@ -227,7 +231,7 @@ def test_bridge_reports_against_brute_oracle(stage):
     assert _bridge_or_text(stage, probes[0], "up") == "side must be 'left' or 'right', got 'up'"
     reports = all_bridge_reports(stage)
     assert len(reports) == 2 * (stage.count - 1)
-    assert _bridge_reports_json(stage) == [r.to_json() for r in reports]
+    assert "".join(_bridges_json(stage)) == _bridges_oracle(reports)
     ivs = stage.intervals
     ends = {"left": {iv.hi for iv in ivs[:-1]}, "right": {iv.lo for iv in ivs[1:]}}
     for (x, side), answer in answers.items():
@@ -373,41 +377,92 @@ def test_json_format_shape():
     assert parsed.intervals == stage.intervals
 
 
-@pytest.mark.parametrize("stage", [
-    random_stage(3, depth=6),
-    loads_stage(dumps_stage(random_stage(4, tau=F(2), depth=5))),
-    middle_alpha_family(F(1, 5)).stage(5),
-    make_stage([(F(-1, 7), F(1, 9)), (F(1, 3), F(2, 5)), (F(5, 9), F(3, 4)), (F(9, 10), 2)]),
-    CantorStage((ClosedInterval(F(0), F(1, 3)), ClosedInterval(F(1, 2), F(1, 2)),
-                 ClosedInterval(F(2, 3), F(1))), allow_degenerate=True),
-    make_stage([(0, F(1, 3)), (F(2, 3), 1)]),
-    make_stage([(0, 1)]),
-], ids=["random-thick", "random-thick-loaded", "middle-alpha", "mixed-denominators",
-        "point-interval", "two-intervals", "one-interval"])
-def test_bridge_reports_json_matches_the_reports(stage):
-    assert _bridge_reports_json(stage) == [r.to_json() for r in all_bridge_reports(stage)]
-    assert (_bridge_reports_json(stage) == []) == (stage.count == 1)
+def _bridges_oracle(reports) -> str:
+    return json.dumps({"reports": [r.to_json() for r in reports]}, indent=2)
 
 
-_json_strings = st.text(
-    st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _json_strings
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.lists(_json_strings, max_size=4)
-                   | st.dictionaries(_json_strings, inner, max_size=4)
-                   | st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats(),
-                                     inner, max_size=3)),
-    max_leaves=24,
-)
+def _cli_stdout(argv) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
 
 
-@settings(max_examples=400, deadline=None)
-@given(_json_values, st.sampled_from([0, 2, 4, "\t"]))
-def test_json_writer_matches_json_dumps(value, indent):
-    assert _json_text(value, indent) == json.dumps(value, indent=indent)
-    assert _json_text(value, None) == json.dumps(value)
+_taus = st.sampled_from([F(1), F(3, 2), F(2), F(3)])
+_ends = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=12)
+
+
+@st.composite
+def _random_thick(draw):
+    tau, depth, seed = draw(_taus), draw(st.integers(0, 6)), draw(st.integers(0, 2 ** 32))
+    argv = ["--random-thick", str(tau), "--depth", str(depth), "--seed", str(seed)]
+    return random_thick_family(RandomThickSpec(tau, depth, seed)).stage(depth), argv
+
+
+@st.composite
+def _middle_alpha(draw):
+    alpha = draw(st.fractions(F(1, 50), F(49, 50), max_denominator=60))
+    depth = draw(st.integers(0, 5))
+    argv = ["--middle-alpha", str(alpha), "--depth", str(depth)]
+    return middle_alpha_family(alpha).stage(depth), argv
+
+
+@st.composite
+def _mixed(draw, points: bool):
+    """Negative, integer and fractional endpoints; with ``points``, some
+    intervals are single points."""
+    ends = sorted(set(draw(st.lists(_ends, min_size=2, max_size=24))))
+    assume(len(ends) >= 2)
+    pairs, k = [], 0
+    while k + 1 < len(ends) or (points and k < len(ends)):
+        width = 0 if points and (k + 1 == len(ends) or draw(st.booleans())) else 1
+        pairs.append(ClosedInterval(ends[k], ends[k + width]))
+        k += width + 1
+    return CantorStage(tuple(pairs), draw(st.integers(0, 3)), allow_degenerate=points), None
+
+
+@st.composite
+def _one_interval(draw):
+    lo, hi = sorted(draw(st.lists(_ends, min_size=2, max_size=2, unique=True)))
+    return make_stage([(lo, hi)], depth=draw(st.integers(0, 3))), None
+
+
+_WRITER_STAGES = {
+    "random-thick": _random_thick(),
+    "random-thick-loaded": _random_thick().map(lambda s: (loads_stage(dumps_stage(s[0])), s[1])),
+    "middle-alpha": _middle_alpha(),
+    "mixed": _mixed(False),
+    "point-interval": _mixed(True),
+    "one-interval": _one_interval(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITER_STAGES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fixed_writers_match_json_dumps(kind, data):
+    """Stage files and the bridges payload, written from fixed templates,
+    are json.dumps of the reports' and intervals' own texts byte for byte:
+    in memory, through --out and through stdout."""
+    stage, construct = data.draw(_WRITER_STAGES[kind])
+    reports = all_bridge_reports(stage)
+    assert (reports == []) == (stage.count == 1)
+    texts = {"depth": stage.depth, "intervals": [iv.to_json() for iv in stage.intervals]}
+    for indent in (None, 0, 2, "\t"):
+        assert dumps_stage(stage, indent) == json.dumps(texts, indent=indent)
+    assert "".join(_bridges_json(stage)) == _bridges_oracle(reports)
+    with tempfile.TemporaryDirectory() as d:
+        stage_file, out = os.path.join(d, "k.json"), os.path.join(d, "out.json")
+        with open(stage_file, "w", encoding="utf-8") as fh:
+            fh.write(dumps_stage(stage, indent=2))
+        assert _cli_stdout(["bridges", stage_file]) == _bridges_oracle(reports) + "\n"
+        assert cli.main(["bridges", stage_file, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == _bridges_oracle(reports) + "\n"
+        if construct is not None:
+            assert _cli_stdout(["construct", *construct]) == json.dumps(texts, indent=2) + "\n"
+            assert cli.main(["construct", *construct, "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                assert fh.read() == json.dumps(texts, indent=2) + "\n"
 
 
 def test_json_malformed_rejected():

@@ -632,7 +632,9 @@ def test_lazy_stages_compare_hash_and_copy_like_their_eager_rebuild(stage):
 # Stage JSON tokens: the integer and 'p/q' forms the grid parser reads
 # itself, and every form it must hand to Fraction: signs, padding, decimals,
 # exponents, underscores, zero or negative denominators, non-ASCII digits,
-# wrong shapes and wrong types.
+# wrong shapes and wrong types.  Two tokens share a denominator over the
+# 4,300-digit limit for integer text.
+_LONG_DEN = "1" + "0" * 4300
 _small = st.integers(-6, 6)
 _token = st.one_of(
     _small,
@@ -644,7 +646,8 @@ _token = st.one_of(
     st.floats(-4, 4) | st.sampled_from([float("nan"), float("inf")]),
     st.sampled_from(["0.5", "1e3", "1/0", "1/-2", "1_000", "-0", "007/010", "\u0661/\u0662",
                      "\uff13", "1/2/3", "", "/", "-", "--1", "1 /2", "1/ 2", "0x10", "abc",
-                     "2/4\n"]),
+                     "2/4\n", "1/\u0662", "\u0661/2", "-0/5", "00/1", "1/01", "-/2", "1/",
+                     "+1", f"1/{_LONG_DEN}", f"-2/{_LONG_DEN}"]),
     st.text(alphabet="0123456789/-+ ._e\u0663", max_size=5),
     st.sampled_from([None, [], {}, [1, 2]]),
 )
@@ -653,7 +656,7 @@ _pair = st.one_of(
     st.lists(_token, min_size=2, max_size=2),
     st.lists(_token, min_size=2, max_size=2),
     st.lists(_token, max_size=3),
-    st.sampled_from([None, 3, "ab", {"lo": 0, "hi": 1}]),
+    st.sampled_from([None, 3, "ab", {"lo": 0, "hi": 1}, ["1/0", "1/0"]]),
 )
 _ordered_pair = st.tuples(st.integers(-20, 20), st.integers(0, 3), st.integers(1, 3)).map(
     lambda t: [f"{t[0]}/{t[2]}", t[0] + t[1]])
@@ -695,6 +698,26 @@ def test_stage_from_json_matches_the_fraction_parser(data):
         assert stage.depth == expected.depth
         assert stage.allow_degenerate == expected.allow_degenerate
         assert [F(x, stage._grid[0]) for x in stage._grid[1]] == [iv.lo for iv in expected.intervals]
+
+
+@pytest.mark.parametrize("pairs", [
+    [["1/\u0662", "\u0661/2"], ["1", "2"]],
+    [["-0/5", "00/1"], ["1/01", "+1"]],
+    [["-/2", "1"]],
+    [["0", "1/"]],
+    [["1/0", "1"], ["1/0", "2"]],
+    [["0", f"1/{_LONG_DEN}"], [f"2/{_LONG_DEN}", "1"]],
+    [["-1/3", "0"], ["1/3", "2/3"], ["5/6", "1"], ["4/3", "5/3"]],
+], ids=["non-ascii-digits", "zeros-and-plus", "bare-minus", "empty-denominator",
+        "zero-denominator-twice", "long-shared-denominator", "shared-denominators"])
+def test_edge_tokens_match_the_fraction_parser(pairs):
+    """The tokens the grid parser must hand to Fraction whole, and
+    denominators shared by several tokens of one file."""
+    data = {"depth": 1, "intervals": pairs}
+    stage, error = _parse(stage_from_json, data)
+    expected, expected_error = _parse(fraction_stage_from_json, data)
+    assert error == expected_error
+    assert stage == expected
 
 
 @pytest.mark.parametrize("text, error", [
