@@ -62,7 +62,6 @@ from .functions import (
     MonotoneBracket,
     Polynomial,
     derivative,
-    derivative_ratio_bound,
     derivative_window,
     eval_function,
     monotone_inverse,

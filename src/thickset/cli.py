@@ -160,8 +160,8 @@ def _build_parser() -> _Parser:
     group.add_argument("--middle-alpha", type=_fraction, metavar="ALPHA")
     group.add_argument("--random-thick", type=_fraction, metavar="TAU")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap-placement", type=_fraction, default=None)
+    p.add_argument("--seed", type=int, default=None, help="random-thick only (default 0)")
+    p.add_argument("--gap-placement", type=_fraction, default=None, help="random-thick only")
     p.add_argument("--out")
 
     p = sub.add_parser("thickness", help="exact thickness of a stage file")
@@ -227,8 +227,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int, default=8)
     p.add_argument("--strict-window", action="store_true",
                    help="reject slopes outside the window instead of probing them")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the probe grid (searches are pure)")
     p.add_argument("--out")
     return parser
 
@@ -236,12 +234,14 @@ def _build_parser() -> _Parser:
 def _cmd_construct(args) -> int:
     _check_budget("--depth", args.depth)
     if args.middle_alpha is not None:
+        if args.seed is not None or args.gap_placement is not None:
+            raise _UsageError("--seed and --gap-placement apply only to --random-thick")
         stage = middle_alpha_family(args.middle_alpha).stage(args.depth)
     else:
         spec = RandomThickSpec(
             target_tau=args.random_thick,
             depth=args.depth,
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             gap_placement=args.gap_placement,
         )
         stage = random_thick_family(spec).stage(args.depth)
@@ -355,20 +355,12 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
-                 max_depth: int, strict: bool) -> dict:
-    """One slope probe; argument types kept picklable so the sweep can fan
-    out across worker processes (the search pipeline is pure)."""
-    entry: dict = {"slope": slope_str}
+def _sweep_probe(family: StageFamily, f: FunctionSpec, cfg: SearchConfig,
+                 strict: bool) -> dict:
+    """One slope probe: its find_config outcome as a JSON entry."""
+    entry: dict = {"slope": rational_str(f.slope_at_zero)}
     try:
-        family = _parse_family(family_spec)
-        f = FunctionSpec.parse(slope_str if quad_str is None else f"{slope_str},{quad_str}")
-        result = find_config(
-            family,
-            f,
-            SearchConfig(max_depth=max_depth),
-            enforce_window=strict,
-        )
+        result = find_config(family, f, cfg, enforce_window=strict)
         entry["status"] = "ok"
         entry["witness"] = result.witness.to_json()
     except HypothesisError as exc:
@@ -386,37 +378,25 @@ def _sweep_probe(family_spec: str, slope_str: str, quad_str: Optional[str],
 def _cmd_sweep(args) -> int:
     _check_budget("--max-depth", args.max_depth)
     family = _parse_family(args.set_family)
+    cfg = SearchConfig(max_depth=args.max_depth)
     # The floor find_config gates on, so in_window agrees with --strict-window.
     tau = config_gate_thickness(family)
     window = derivative_window(tau) if tau > 1 else None
     if args.steps < 2:
         raise _UsageError("sweep needs at least 2 steps")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     step = (args.slope_max - args.slope_min) / (args.steps - 1)
     slopes = [args.slope_min + i * step for i in range(args.steps)]
-    quad = None if args.quadratic is None else rational_str(args.quadratic)
-    tasks = [
-        (args.set_family, rational_str(s), quad, args.max_depth, args.strict_window)
+    tail = () if args.quadratic is None else (args.quadratic,)
+    results = [
+        _sweep_probe(family, FunctionSpec((s, *tail)), cfg, args.strict_window)
+        | {"in_window": bool(window and window.contains(s))}
         for s in slopes
     ]
-    # The pool starts all its workers at once: never more than there are
-    # probes to run or CPUs to run them on.
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        results = [_sweep_probe(*task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_probe, *zip(*tasks)))
-    for slope, entry in zip(slopes, results):
-        entry["in_window"] = bool(window and window.contains(slope))
     payload = {
         "mode": "experimental slope probe; outcomes outside the window are "
                 "observations, not guarantees",
         "family": args.set_family,
-        "quadratic": quad,
+        "quadratic": None if args.quadratic is None else rational_str(args.quadratic),
         "tau": rational_str(tau),
         "window": None if window is None else [rational_str(window.lower),
                                                rational_str(window.upper)],

@@ -1,14 +1,13 @@
 """Configuration functions: exact polynomials with f(0) = 0.
 
-The search pipeline needs four capabilities from its function family, all of
-them certified:
+The search pipeline needs three capabilities from its function family, all
+of them certified:
 
 * exact evaluation and exact formal derivatives,
 * exact sign decisions for the derivative on an interval (Sturm sequences
   over the rationals),
 * certified monotone inverses (bisection enclosures, never Newton: sign
-  changes plus exact arithmetic give unconditional correctness),
-* rigorous bounds on how much the derivative varies over a window.
+  changes plus exact arithmetic give unconditional correctness).
 
 Polynomials with rational coefficients and zero constant term cover every
 function the search routines are exercised with (identity, general lines
@@ -88,19 +87,6 @@ class Polynomial:
         rem = out.pop()
         out.reverse()
         return Polynomial(tuple(out)), rem
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0 and self.degree > 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{k}")
-        return " + ".join(terms) if terms else "0"
 
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -222,21 +208,19 @@ def isolate_roots(
     return out
 
 
-def range_bounds(
-    p: Polynomial, window: ClosedInterval, refine_bits: int = 32
-) -> ClosedInterval:
+def range_bounds(p: Polynomial, window: ClosedInterval) -> ClosedInterval:
     """Rigorous [lower, upper] containing the exact range of p on window.
 
     Exact when the derivative of p does not vanish inside the window
     (extrema then sit at the endpoints); otherwise critical points are
-    isolated to width window.length / 2**refine_bits and bounded by interval
+    isolated to width window.length / 2**32 and bounded by interval
     evaluation, giving a slightly outward but always correct answer.
     """
     candidates = [p(window.lo), p(window.hi)]
     if window.length > 0:
         dp = p.derivative()
         if not dp.is_zero and count_roots(dp, window) > 0:
-            width = window.length / (2 ** refine_bits)
+            width = window.length / 2 ** 32
             for seg in isolate_roots(dp, window, width):
                 enclosure = p.interval_eval(seg)
                 candidates.extend([enclosure.lo, enclosure.hi])
@@ -268,10 +252,6 @@ class FunctionSpec:
         object.__setattr__(self, "coefficients", cs)
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-    @property
     def slope_at_zero(self) -> Fraction:
         return self.coefficients[0]
 
@@ -281,9 +261,11 @@ class FunctionSpec:
     @staticmethod
     def parse(text: str) -> "FunctionSpec":
         """Parse a comma-separated coefficient list 'c1,c2,...,cd'."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
+        parts = [p.strip() for p in text.split(",")]
+        if parts == [""]:
             raise DomainError("empty coefficient list")
+        if "" in parts:  # never dropped: each later coefficient would move down a degree
+            raise DomainError(f"empty entry in coefficient list {text!r}")
         try:
             return FunctionSpec(tuple(to_rational(p) for p in parts))
         except (ValueError, ZeroDivisionError) as exc:
@@ -430,26 +412,3 @@ def monotone_inverse(
         else:
             b = m
     return ClosedInterval(Fraction(a, den), Fraction(b, den))
-
-
-def derivative_ratio_bound(f: FunctionSpec, window: ClosedInterval) -> Fraction:
-    """Upper bound on max over x, y in window of |f'(x)/f'(y) - 1|.
-
-    Requires f' nonvanishing on the closed window (checked exactly).  The
-    bound is exact whenever f'' has no root inside the window, and tight
-    otherwise (critical points are isolated and boxed by interval
-    evaluation).
-    """
-    dp = f.polynomial().derivative()
-    sign = sign_on_interval(dp, window)
-    if sign is None:
-        raise DomainError(f"derivative of f vanishes in {window}")
-    if sign < 0:
-        dp = dp.neg()
-    bounds = range_bounds(dp, window)
-    if bounds.lo <= 0:
-        # Interval evaluation was too coarse; refine hard once.
-        bounds = range_bounds(dp, window, refine_bits=64)
-        if bounds.lo <= 0:
-            raise DomainError(f"cannot certify a positive lower bound for |f'| on {window}")
-    return bounds.hi / bounds.lo - 1

@@ -478,11 +478,11 @@ def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fracti
     """Derivative conditions on the symmetric box of radius tau*delta:
 
     the range [m, M] of f' (and hence of its reciprocal, the inverse
-    derivative) must sit strictly inside the slope window, both derivative
-    deviations from their values at zero must stay below eps/(2*tau), and
-    the overall derivative ratio deviation M/m - 1 must stay below eps.
-    Past the window check m > 0, so M/m - 1 is the value
-    ``derivative_ratio_bound`` certifies on the box."""
+    derivative) must sit strictly inside the slope window, and both
+    derivative deviations from their values at zero must stay below
+    eps/(2*tau).  The ratio deviation M/m - 1 < eps needs no check of its
+    own: the window gives m > 1/tau and the first deviation M - m < eps/tau,
+    so M/m - 1 = (M - m)/m < eps."""
     box = ClosedInterval(-tau * delta, tau * delta)
     bounds = range_bounds(f.polynomial().derivative(), box)
     m, M = bounds.lo, bounds.hi
@@ -493,9 +493,7 @@ def _validate_delta(f: FunctionSpec, tau: Fraction, delta: Fraction, eps: Fracti
     budget = eps / (2 * tau)
     if max(M - slope, slope - m) >= budget:
         return False
-    if max(1 / m - 1 / slope, 1 / slope - 1 / M) >= budget:
-        return False
-    return M / m - 1 < eps
+    return max(1 / m - 1 / slope, 1 / slope - 1 / M) < budget
 
 
 def _shrink_centered(piece: ClosedInterval, width: Fraction) -> ClosedInterval:

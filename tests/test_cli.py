@@ -1,6 +1,5 @@
 """Command-line behavior: round trips, reports, exit codes, rendering."""
 
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -281,45 +280,66 @@ def test_sweep_reports_the_tau_find_config_gates_on(tmp_path, capsys):
     assert json.loads(out_file.read_text())["tau"] == gated_tau == "3/2"
 
 
-def test_sweep_parallel_matches_sequential(tmp_path, capsys):
-    args = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "3/4",
-            "--slope-max", "5/4", "--steps", "3", "--max-depth", "4"]
-    seq_file = tmp_path / "seq.json"
-    par_file = tmp_path / "par.json"
-    assert run(args + ["--out", str(seq_file)], capsys)[0] == 0
-    assert run(args + ["--jobs", "2", "--out", str(par_file)], capsys)[0] == 0
-    assert json.loads(seq_file.read_text()) == json.loads(par_file.read_text())
+@pytest.mark.parametrize("argv, digest", [
+    (["middle-alpha:1/5", "--slope-min", "1/2", "--slope-max", "3/2", "--steps", "3",
+      "--quadratic", "-1/10"],
+     "15bfde4dbd59567d5de5b8a0701475cd0914825a80ce8b2480842b9e696b383b"),
+    (["random-thick:3/2:7", "--slope-min", "1/2", "--slope-max", "3/2", "--steps", "5",
+      "--max-depth", "6", "--strict-window"],
+     "549bb6fa9d8742f0d4a645bb618815dd3f6bba94f4ff784abc6495e3497beb71"),
+    (["middle-alpha:1/3", "--slope-min", "1/2", "--slope-max", "3/2", "--steps", "3",
+      "--max-depth", "6"],
+     "485fce4e392cf0d1d8bd5f4fc57f203e1d5bd9fbcc7430cd733fcbe6f2174f16"),
+], ids=["ci-quadratic", "random-thick-strict", "middle-third-no-window"])
+def test_sweep_payload_bytes_are_pinned(argv, digest, capsys):
+    """sha256 of sweep's stdout, taken while each probe still parsed the
+    family and f from their texts in a worker-ready form: ok, failed and
+    rejected probes, and a family with no slope window."""
+    code, out, err = run(["sweep", "--set-family", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_sweep_jobs_clamped_to_probes_and_cpus(tmp_path, capsys, monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("depth", ["0", "-5"])
+def test_sweep_refuses_a_max_depth_below_1_like_find_config(capsys, depth):
+    """The search config is built before any probe, so the bad depth is the
+    command's exit 3, not a "failed" entry in every probe."""
+    family = ["--set-family", "middle-alpha:1/5", "--max-depth", depth]
+    for argv in (["find-config", "--f", "1"], ["sweep", "--slope-min", "1", "--slope-max", "2"]):
+        code, out, err = run([*argv, *family], capsys)
+        assert (code, out, err) == (3, "", "error: max_depth must be at least 1\n")
 
-    class RecordingPool:
-        """In-process stand-in that records the worker count it was given."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def test_sweep_has_no_jobs_option(capsys):
+    code, out, err = run(["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "1",
+                          "--slope-max", "2", "--jobs", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: unrecognized arguments: --jobs 2\n")
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+@pytest.mark.parametrize("coefficients", ["1,,1/10", ",1", "1,1/10,", "1, ,1/10"])
+def test_find_config_refuses_an_empty_coefficient(capsys, coefficients):
+    """An empty entry is never dropped: 1,,1/10 would run as t + t**2/10."""
+    code, out, err = run(["find-config", "--set-family", "middle-alpha:1/5",
+                          "--f", coefficients, "--max-depth", "4"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: empty entry in coefficient list {coefficients!r}\n"
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    args = ["sweep", "--set-family", "middle-alpha:1/5", "--slope-min", "3/4",
-            "--slope-max", "5/4", "--steps", "3", "--max-depth", "4"]
-    seq_file = tmp_path / "seq.json"
-    assert run(args + ["--out", str(seq_file)], capsys)[0] == 0
-    for cpus, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2]), (1, [3, 2])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out_file = tmp_path / "clamped.json"
-        assert run(args + ["--jobs", "100000", "--out", str(out_file)], capsys)[0] == 0
-        assert sizes == expected
-        assert json.loads(out_file.read_text()) == json.loads(seq_file.read_text())
+@pytest.mark.parametrize("extra", [["--seed", "9"], ["--gap-placement", "1/2"],
+                                   ["--seed", "0"], ["--seed", "9", "--gap-placement", "1/2"]])
+def test_construct_middle_alpha_refuses_random_thick_options(capsys, extra):
+    code, out, err = run(["construct", "--middle-alpha", "1/3", "--depth", "2", *extra], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "usage error: --seed and --gap-placement apply only to --random-thick\nusage: thickset")
+
+
+def test_construct_random_thick_seed_defaults_to_0(capsys):
+    base = ["construct", "--random-thick", "3/2", "--depth", "4"]
+    assert run(base, capsys) == run([*base, "--seed", "0"], capsys)
+    assert run(base, capsys) != run([*base, "--seed", "1"], capsys)
 
 
 def test_render_single_interval_stage(tmp_path, capsys):

@@ -17,7 +17,6 @@ from thickset import (
     RangeError,
     counterexample_parts,
     derivative,
-    derivative_ratio_bound,
     derivative_window,
     eval_function,
     make_counterexample_params,
@@ -201,38 +200,6 @@ def test_monotone_inverse_encloses_the_sympy_root(problem):
     assert shifted.count_roots(q(enc.lo), q(enc.hi)) == 1
 
 
-def test_derivative_ratio_bound_identity_zero():
-    assert derivative_ratio_bound(IDENTITY, ClosedInterval(F(-5), F(5))) == 0
-
-
-def test_derivative_ratio_bound_gentle_exact():
-    # f' = 1 + t/5 is monotone, so the bound is the exact endpoint ratio.
-    assert derivative_ratio_bound(GENTLE, ClosedInterval(F(0), F(1, 10))) == F(1, 50)
-
-
-def test_derivative_ratio_bound_rejects_vanishing_derivative():
-    with pytest.raises(DomainError):
-        derivative_ratio_bound(SQUARE, ClosedInterval(F(-1), F(1)))
-
-
-def test_derivative_ratio_bound_monotone_under_shrinking():
-    widths = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 64)]
-    bounds = [derivative_ratio_bound(GENTLE, ClosedInterval(F(0), w)) for w in widths]
-    assert bounds == sorted(bounds, reverse=True)
-    assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
-
-
-def test_derivative_ratio_bound_with_interior_critical_point():
-    # f = t + t^3: f' = 1 + 3t^2 has its minimum inside the window; the
-    # bound must cover the exact ratio max/min - 1 and stay close to it.
-    f = FunctionSpec((F(1), F(0), F(1)))
-    window = ClosedInterval(F(-1, 2), F(1, 4))
-    bound = derivative_ratio_bound(f, window)
-    exact = (1 + 3 * F(1, 2) ** 2) / 1 - 1
-    assert bound >= exact
-    assert bound - exact < F(1, 2 ** 20)
-
-
 def test_sturm_root_counting():
     p = Polynomial((F(6), F(-7), F(0), F(1)))  # (t-1)(t-2)(t+3)
     assert count_roots(p, ClosedInterval(F(0), F(5))) == 2
@@ -315,6 +282,17 @@ def test_range_bounds_exact_for_monotone():
     assert (got.lo, got.hi) == (F(1), F(6, 5))
 
 
+def test_range_bounds_boxes_an_interior_critical_point():
+    # f' = 1 + 3t^2 on [-1/2, 1/4]: its minimum 1 sits at t = 0, inside the
+    # window, so it is isolated and boxed by interval evaluation; the
+    # maximum 7/4 sits at an endpoint and is exact.
+    p = Polynomial((F(1), F(0), F(3)))
+    got = range_bounds(p, ClosedInterval(F(-1, 2), F(1, 4)))
+    assert got.hi == F(7, 4)
+    assert got.lo <= 1
+    assert 1 - got.lo < F(1, 2 ** 20)
+
+
 def test_function_spec_parse():
     f = FunctionSpec.parse("1,1/10")
     assert f.coefficients == (F(1), F(1, 10))
@@ -323,8 +301,16 @@ def test_function_spec_parse():
         FunctionSpec.parse("")
     with pytest.raises(DomainError):
         FunctionSpec.parse("1,x")
+    assert FunctionSpec.parse(" 1 , 1/10 ").coefficients == (F(1), F(1, 10))
     with pytest.raises(DomainError):
         FunctionSpec((F(1),) * 9)  # degree cap
+
+
+@pytest.mark.parametrize("text", ["1,,1/10", ",1", "1,1/10,", "1, ,1/10", ","])
+def test_function_spec_parse_refuses_an_empty_entry(text):
+    """Dropping the entry would move each later coefficient down a degree."""
+    with pytest.raises(DomainError, match=f"empty entry in coefficient list {text!r}"):
+        FunctionSpec.parse(text)
 
 
 def test_certified_value_basics():

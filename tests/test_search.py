@@ -23,7 +23,6 @@ from thickset import (
     StageFamily,
     counterexample_calibrate,
     counterexample_parts,
-    derivative_ratio_bound,
     derivative_window,
     find_3ap,
     find_config,
@@ -296,7 +295,7 @@ def test_find_config_validates_rho():
 def _four_condition_rule(f, tau, delta, eps):
     """The delta gate from the public routines: f' inside the slope window
     on the box of radius tau*delta, both deviations from f'(0) below
-    eps/(2 tau), and the certified derivative ratio bound below eps."""
+    eps/(2 tau), and the derivative ratio deviation M/m - 1 below eps."""
     box = ClosedInterval(-tau * delta, tau * delta)
     bounds = range_bounds(f.polynomial().derivative(), box)
     m, M = bounds.lo, bounds.hi
@@ -308,10 +307,7 @@ def _four_condition_rule(f, tau, delta, eps):
         return False
     if max(1 / m - 1 / slope, 1 / slope - 1 / M) >= budget:
         return False
-    try:
-        return derivative_ratio_bound(f, box) < eps
-    except DomainError:
-        return False
+    return M / m - 1 < eps  # m > window.lower > 0
 
 
 @settings(max_examples=300, deadline=None)
