@@ -470,65 +470,60 @@ def _endpoint_index(ends: list[int], den: int, value: Fraction) -> int:
     return k if k < len(ends) and ends[k] * d == n * den else -1
 
 
-def _bridge_ends(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
-    """The next-longer-gap pass over a stage grid: ``(left_end, right_end)``.
+def _bridge_ends(lo: list[int], hi: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The next-longer-gap pass over a stage grid: ``(gap, left_end, right_end)``.
 
-    A bridge stops at the first strictly longer gap, so the left bridge of
-    bounded gap i starts at interval ``left_end[i]`` (just right of the
-    nearest strictly longer gap on the left, else the first interval) and
-    its right bridge ends at interval ``right_end[i]`` (just left of the
-    nearest strictly longer gap on the right, else the last).  Two
-    monotone-stack passes find them in O(n) integer comparisons.
+    A bridge stops at the first strictly longer gap: the left bridge of gap
+    i starts at interval ``left_end[i]``, just right of the nearest such gap
+    on the left (else 0), and the right bridge ends at interval
+    ``right_end[i]``, just left of the nearest on the right (else the last).
+    One monotone stack: gap i pops each strictly shorter gap, ending its
+    right bridge at i, and takes the left end of an equal gap left on top.
     """
     gap = [b - a for a, b in zip(hi, lo[1:])]
     left_end = [0] * len(gap)
     right_end = [len(lo) - 1] * len(gap)
     stack: list[int] = []
     for i, g in enumerate(gap):
-        while stack and gap[stack[-1]] <= g:
-            stack.pop()
+        while stack and gap[stack[-1]] < g:
+            right_end[stack.pop()] = i
         if stack:
-            left_end[i] = stack[-1] + 1
+            j = stack[-1]
+            left_end[i] = left_end[j] if gap[j] == g else j + 1
         stack.append(i)
-    stack.clear()
-    for i in reversed(range(len(gap))):
-        g = gap[i]
-        while stack and gap[stack[-1]] <= g:
-            stack.pop()
-        if stack:
-            right_end[i] = stack[-1]
-        stack.append(i)
-    return left_end, right_end
+    return gap, left_end, right_end
 
 
 # One bridge row: (gap index, side, first and last interval the bridge
-# spans, local thickness).  The bridge is [lo[first], hi[last]].
-BridgeRow = tuple[int, str, int, int, Fraction]
+# spans, bridge length, gap length), lengths on the grid.  The bridge is
+# [lo[first], hi[last]] and its local thickness bridge / gap.
+BridgeRow = tuple[int, str, int, int, int, int]
 
 
-def _bridge_row(lo: list[int], hi: list[int], i: int, side: str, end: int) -> BridgeRow:
-    """The row for one side of bounded gap i, whose bridge reaches interval
-    ``end`` (from ``_bridge_ends``); the local thickness is one ratio of
-    grid ints."""
-    g = lo[i + 1] - hi[i]
+def _bridge_row(lo: list[int], hi: list[int], ends, i: int, side: str) -> BridgeRow:
+    """The row for one side of bounded gap i; ``ends`` is ``_bridge_ends``."""
+    gap, left_end, right_end = ends
     if side == LEFT:
-        return i, LEFT, end, i, Fraction(hi[i] - lo[end], g)
-    return i, RIGHT, i + 1, end, Fraction(hi[end] - lo[i + 1], g)
+        first = left_end[i]
+        return i, LEFT, first, i, hi[i] - lo[first], gap[i]
+    last = right_end[i]
+    return i, RIGHT, i + 1, last, hi[last] - lo[i + 1], gap[i]
 
 
 def _bridge_rows(stage: CantorStage) -> list[BridgeRow]:
     """Rows for both sides of every bounded gap, left to right: the one walk
-    behind ``all_bridge_reports`` and the rendered braces."""
+    behind ``all_bridge_reports``, the ``bridges`` payload and the braces."""
     _, lo, hi = stage._grid
-    left_end, right_end = _bridge_ends(lo, hi)
-    return [_bridge_row(lo, hi, i, side, end) for i in range(len(lo) - 1)
-            for side, end in ((LEFT, left_end[i]), (RIGHT, right_end[i]))]
+    gap, left_end, right_end = _bridge_ends(lo, hi)
+    return [row for i, (g, first, last) in enumerate(zip(gap, left_end, right_end))
+            for row in ((i, LEFT, first, i, hi[i] - lo[first], g),
+                        (i, RIGHT, i + 1, last, hi[last] - lo[i + 1], g))]
 
 
 def _bridge_report(interval, row: BridgeRow) -> GapBridgeReport:
     """The report of one bridge row; ``interval(k)`` is the stage's interval
     k.  The grid fixed every order, so no constructor re-checks it."""
-    i, side, first, last, local = row
+    i, side, first, last, bridge_len, gap_len = row
     gap = _trusted(Gap, lo=interval(i).hi, hi=interval(i + 1).lo, kind=BOUNDED)
     if side == LEFT:
         endpoint = gap.lo
@@ -537,7 +532,7 @@ def _bridge_report(interval, row: BridgeRow) -> GapBridgeReport:
         endpoint = gap.hi
         bridge = _trusted_interval(endpoint, interval(last).hi)
     return _trusted(GapBridgeReport, endpoint=endpoint, side=side, gap=gap, bridge=bridge,
-                    local_thickness=local)
+                    local_thickness=Fraction(bridge_len, gap_len))
 
 
 def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridgeReport:
@@ -562,9 +557,7 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
         raise DomainError(
             f"{endpoint} is not the {side} endpoint of any bounded gap of the stage"
         )
-    left_end, right_end = _bridge_ends(lo, hi)
-    end = left_end[i] if side == LEFT else right_end[i]
-    return _bridge_report(stage._interval, _bridge_row(lo, hi, i, side, end))
+    return _bridge_report(stage._interval, _bridge_row(lo, hi, _bridge_ends(lo, hi), i, side))
 
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
@@ -590,10 +583,11 @@ def _bridges_json(stage: CantorStage) -> Iterable[str]:
     raise."""
     lo, hi = _endpoint_texts(stage)
     fields = []
-    for i, side, first, last, local in _bridge_rows(stage):
+    for i, side, first, last, bridge_len, gap_len in _bridge_rows(stage):
         a, b = hi[i], lo[i + 1]
         bridge = (lo[first], a) if side == LEFT else (b, hi[last])
-        fields.append((a if side == LEFT else b, side, a, b, *bridge, rational_str(local)))
+        fields.append((a if side == LEFT else b, side, a, b, *bridge,
+                       _rational_text(bridge_len, gap_len)))
     if not fields:
         return ('{\n  "reports": []\n}',)
     reports = map(_BRIDGE_REPORT.__mod__, fields)
@@ -608,32 +602,29 @@ class ThicknessResult(NamedTuple):
 def thickness(stage: CantorStage) -> ThicknessResult:
     """Exact Newhouse thickness of the stage with the minimizing report.
 
-    One next-longer-gap pass gives every bridge in O(n) integer operations;
-    local thicknesses are compared as integer cross-products, and a report
-    is built for the minimizer only.  Ties are broken deterministically:
-    smallest endpoint first, then the left side before the right.  The
-    comparison uses that key rather than gap order because a degenerate
-    interval makes the right endpoint of one gap the left endpoint of the
-    next.
+    One next-longer-gap pass gives every bridge in O(n) integer operations.
+    Each gap offers its smaller side (left on a tie: they share the gap),
+    which wins only on a strictly smaller integer cross-product; one report
+    is built, for the minimizer.  The argmin is the minimizer with the
+    smallest endpoint, left side first, which is the first in scan order:
+    only at a point interval [x, x] do two sides share an endpoint (the
+    right of gap i, the left of gap i + 1), and they never both reach the
+    minimum.  If the gaps differ, the side toward the longer one has an
+    empty bridge and the other does not; if they are equal, gap i + 1's
+    left bridge is gap i's plus the gap, so strictly longer.
     """
     if stage.count < 2:
         raise DomainError("thickness undefined for a single interval")
     _, lo, hi = stage._grid
-    left_end, right_end = _bridge_ends(lo, hi)
-    # (bridge length, gap length, endpoint, 0 for left or 1 for right, gap index)
-    best = (hi[0] - lo[left_end[0]], lo[1] - hi[0], hi[0], 0, 0)
-    for i in range(len(lo) - 1):
-        g = lo[i + 1] - hi[i]
-        for cand in (
-            (hi[i] - lo[left_end[i]], g, hi[i], 0, i),
-            (hi[right_end[i]] - lo[i + 1], g, lo[i + 1], 1, i),
-        ):
-            lhs, rhs = cand[0] * best[1], best[0] * g
-            if lhs < rhs or (lhs == rhs and cand[2:4] < best[2:4]):
-                best = cand
-    *_, right, i = best
-    row = _bridge_row(lo, hi, i, *((RIGHT, right_end[i]) if right else (LEFT, left_end[i])))
-    return ThicknessResult(row[-1], _bridge_report(stage._interval, row))
+    ends = gap, left_end, right_end = _bridge_ends(lo, hi)
+    best_len, best_gap, best = hi[0] - lo[left_end[0]], gap[0], (0, LEFT)
+    for i, g in enumerate(gap):
+        left, right = hi[i] - lo[left_end[i]], hi[right_end[i]] - lo[i + 1]
+        b, side = (left, LEFT) if left <= right else (right, RIGHT)
+        if b * best_gap < best_len * g:
+            best_len, best_gap, best = b, g, (i, side)
+    argmin = _bridge_report(stage._interval, _bridge_row(lo, hi, ends, *best))
+    return ThicknessResult(argmin.local_thickness, argmin)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ def brute_thickness(stage: CantorStage) -> Fraction:
     return best
 
 
+def brute_bridge_ends(lo, hi):
+    """``(gap, left_end, right_end)`` of a stage grid by scanning, for every
+    bounded gap, each side outward until the first strictly longer gap:
+    O(n**2) comparisons, no stack."""
+    gap = [b - a for a, b in zip(hi, lo[1:])]
+    left_end, right_end = [], []
+    for i, g in enumerate(gap):
+        left = [j for j in range(i) if gap[j] > g]
+        right = [j for j in range(i + 1, len(gap)) if gap[j] > g]
+        left_end.append(left[-1] + 1 if left else 0)
+        right_end.append(right[0] if right else len(lo) - 1)
+    return gap, left_end, right_end
+
+
 def in_middle_thirds(x: Fraction, depth: int) -> bool:
     """Ternary-digit membership test for the middle-thirds stage: x survives
     ``depth`` rounds of keeping only the outer thirds."""

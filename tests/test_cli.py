@@ -647,6 +647,36 @@ def test_bridges_json_bytes_are_pinned(tmp_path, capsys):
     assert digest == "7a10bc48268cf10a74779177d356448540103f2baa6e3515a721e878a822cd82"
 
 
+@pytest.mark.parametrize("verb, digest", [
+    (["bridges"], "927a0a5e755073df699d427130e5276120b944e9ba3b842b8491506b46cf591c"),
+    (["thickness", "--json"], "da120ad5a54d680e73413c1b63f46d019d75ae5cdc7a4f2e0883ba4ed9e5df07"),
+], ids=["bridges", "thickness"])
+def test_middle_thirds_bridge_outputs_are_pinned(tmp_path, capsys, verb, digest):
+    """sha256 of the bridges payload and the thickness report on middle
+    thirds at depth 8, taken from the two-pass bridge scan with a Fraction
+    per row.  Every gap of one level has the same length, so its bridges
+    chain through ties.  The same two outputs on a depth-9 random-thick
+    stage are pinned above and in the session digests."""
+    stage_file, out_file = tmp_path / "k.json", tmp_path / "out.json"
+    argv = ["construct", "--middle-alpha", "1/3", "--depth", "8", "--out", str(stage_file)]
+    assert run(argv, capsys)[0] == 0
+    assert run([*verb, str(stage_file), "--out", str(out_file)], capsys)[0] == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra", [[], ["--log-x"]], ids=["linear", "log"])
+def test_render_refuses_coordinates_past_the_float_range(tmp_path, capsys, extra):
+    """A stage beyond the float range is valid and has a thickness, but has
+    no pixel column: render refuses it with exit 3."""
+    stage_file = tmp_path / "huge.json"
+    stage_file.write_text('{"depth": 0, "intervals": [["1e400", "2e400"], ["3e400", "4e400"]]}')
+    assert run(["thickness", str(stage_file)], capsys)[0] == 0
+    code, out, err = run(["render", str(stage_file), *extra], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: coordinates too large to render: "
+                   "integer division result too large for a float\n")
+
+
 def test_find_config_tiny_delta_stops_at_the_scan_limit(capsys):
     """subset_extract scans as deep as the interval budget allows, then
     gives up (a scan to depth 23 would not finish); the hint names the

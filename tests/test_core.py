@@ -26,6 +26,7 @@ from thickset import (
     dumps_stage,
     find_3ap,
     gaps,
+    intersect,
     loads_stage,
     make_stage,
     middle_alpha,
@@ -36,12 +37,14 @@ from thickset import (
 )
 from thickset import cli
 from thickset.core import (
+    _bridge_ends,
     _bridges_json,
     _rational_text,
     rational_str,
     to_rational,
 )
 from conftest import (
+    brute_bridge_ends,
     brute_local_thickness,
     brute_thickness,
     nesting_problem,
@@ -249,6 +252,47 @@ def test_bridge_reports_against_brute_oracle(stage):
         else:
             assert report.bridge.lo == report.endpoint == ivs[i + 1].lo
         assert answers[report.endpoint, side] == report
+
+
+def _point_interval_stages():
+    """Intersections whose common stage holds point intervals: middle
+    thirds met by its own copy shifted one interval length (touching ends),
+    and the reflected largest-gap frame of the 3-AP search."""
+    for depth in range(1, 8):
+        k = middle_alpha(F(1, 3), depth)
+        yield intersect(k, affine_image(k, 1, F(1, 3 ** depth))).common
+    k = affine_image(middle_alpha(F(1, 3), 5), 1, F(-2, 3))
+    left = restrict(k, ClosedInterval(F(-2, 3), F(-1, 3)))
+    yield intersect(affine_image(left, -1, 0), restrict(k, ClosedInterval(F(0), F(1, 3)))).common
+
+
+def test_bridge_ends_against_the_brute_scan():
+    """The one-pass next-longer-gap stack against an O(n**2) scan, on equal
+    gap runs (middle thirds), random-thick stages and stages holding point
+    intervals, which the small hypothesis stages reach only shallowly."""
+    family = middle_alpha_family(F(1, 3))
+    stages = [family.stage(depth) for depth in range(1, 9)]
+    stages += [random_thick_family(RandomThickSpec(F(3, 2), 0, seed)).stage(8)
+               for seed in range(3)]
+    points = list(_point_interval_stages())
+    assert all(any(a == b for a, b in zip(*s._grid[1:])) for s in points)
+    for stage in stages + points:
+        _, lo, hi = stage._grid
+        assert _bridge_ends(lo, hi) == brute_bridge_ends(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stages())
+def test_a_point_interval_never_has_both_sides_minimal(stage):
+    """At a point interval [x, x] the right side of gap i and the left side
+    of gap i + 1 share the endpoint x, but never both reach the minimum: so
+    the first strict minimum in gap order is the least by (endpoint, side)."""
+    value = brute_thickness(stage)
+    ivs = stage.intervals
+    for k in range(1, stage.count - 1):
+        if ivs[k].lo == ivs[k].hi:
+            assert not (brute_local_thickness(stage, k - 1, "right") == value
+                        == brute_local_thickness(stage, k, "left"))
 
 
 def test_restrict_examples():
