@@ -23,6 +23,7 @@ step, stage to child stage, is a capability a view takes from its base, and
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -53,10 +54,10 @@ IntervalRefiner = Callable[[ClosedInterval, int], Sequence[ClosedInterval]]
 class StageFamily:
     """A refinement sequence of Cantor stages, indexed by depth from 0.
 
-    ``stage`` is every family's one depth check and stage cache: it fills
-    ``_stages`` in depth order, calling ``_build(depth)`` once per depth,
-    after every shallower stage is in; by default ``_build`` applies
-    ``_refined``, the family's refinement step, or None if it has none.
+    ``stage`` is every family's one depth check and stage cache: under the
+    family's lock it fills ``_stages`` in depth order, calling
+    ``_build(depth)`` once per depth, after every shallower stage is in; by
+    default ``_build`` applies ``_refined``, the family's refinement step.
 
     ``thickness_bound`` is a lower bound on the thickness of every stage at
     depth >= 1 that the construction certifies, or None when it certifies
@@ -68,12 +69,15 @@ class StageFamily:
 
     def __init__(self):
         self._stages: list[CantorStage] = []
+        self._lock = threading.Lock()
 
     def stage(self, depth: int) -> CantorStage:
         _require_int("family depth", depth, 0)
         stages = self._stages
-        while len(stages) <= depth:
-            stages.append(self._build(len(stages)))
+        if len(stages) <= depth:
+            with self._lock:
+                while len(stages) <= depth:
+                    stages.append(self._build(len(stages)))
         return stages[depth]
 
     def _build(self, depth: int) -> CantorStage:

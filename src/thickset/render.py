@@ -42,6 +42,8 @@ def _transform(stage: CantorStage, log_scale: bool):
         raise DomainError(f"coordinates too large to render: {exc}") from exc
 
     span = (last - first) or 1.0
+    if math.isinf(span):
+        raise DomainError("coordinates too large to render: the hull is wider than a float holds")
 
     def to_px(x) -> float:
         return _PAD + (warp(float(x)) - first) / span * (_WIDTH - 2 * _PAD)

@@ -22,7 +22,7 @@ Three finders, all exact or certified:
   endpoints.
 
 ``find_3ap`` and ``find_config`` share one orient-and-frame step
-(``_orient_and_frame``): the 3-AP is the f(t) = t case of the configuration,
+(``largest_gap_frame``): the 3-AP is the f(t) = t case of the configuration,
 and the two differ only in their hypothesis gates, their bridge inequalities
 and the map f applied to the piece that carries t.
 
@@ -96,19 +96,31 @@ INTERVAL_BUDGET = 2 ** 16
 # Largest-gap frame
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapFrame:
-    """The largest bounded gap of a stage with both of its bridges.
+class _Piece(NamedTuple):
+    """A stage's part in ``window``, as offsets z -> scale * z + shift."""
 
-    ``left_at_least_right`` is the orientation flag: True when the left
-    bridge is at least as long as the right one (ties included), in which
-    case no reflection is needed downstream.
-    """
+    window: ClosedInterval
+    scale: int
+    shift: Fraction
+
+    def of(self, stage: CantorStage) -> CantorStage:
+        return affine_image(restrict(stage, self.window), self.scale, self.shift)
+
+
+class GapFrame(NamedTuple):
+    """A stage's largest bounded gap, oriented so the left bridge dominates.
+    Offsets run from the middle point ``x``: the ``left`` piece spans
+    [gap.length, left_reach], the ``right`` piece [0, right_reach].  Read
+    ``reflected`` (the right bridge strictly longer), x is the gap's left
+    endpoint, not its right, and the two pieces swap bridges."""
 
     gap: Gap
-    left_bridge: ClosedInterval
-    right_bridge: ClosedInterval
-    left_at_least_right: bool
+    x: Fraction
+    reflected: bool
+    left_reach: Fraction
+    right_reach: Fraction
+    left: _Piece
+    right: _Piece
 
 
 def _largest_gap(lo: list[int], hi: list[int]) -> int:
@@ -118,22 +130,22 @@ def _largest_gap(lo: list[int], hi: list[int]) -> int:
 
 
 def largest_gap_frame(stage: CantorStage) -> GapFrame:
-    """Largest bounded gap (leftmost on ties) with its two bridges.
-
-    The gap is an argmax of the grid's gap widths.  No gap is strictly
-    longer, so both bridges run to the ends of the stage.
-    """
+    """The one frame step of both searches.  The gap is an argmax of the
+    grid's gap widths (leftmost on ties); no gap is strictly longer, so both
+    bridges run to the ends of the stage."""
     _, lo, hi = stage._grid
     if len(lo) < 2:
         raise DomainError("no bounded gap: cannot frame a single interval")
     i = _largest_gap(lo, hi)
     gap = Gap(stage._interval(i).hi, stage._interval(i + 1).lo)
-    return GapFrame(
-        gap=gap,
-        left_bridge=ClosedInterval(stage.min, gap.lo),
-        right_bridge=ClosedInterval(gap.hi, stage.max),
-        left_at_least_right=hi[i] - lo[0] >= hi[-1] - lo[i + 1],
-    )
+    left, right = ClosedInterval(stage.min, gap.lo), ClosedInterval(gap.hi, stage.max)
+    if hi[i] - lo[0] >= hi[-1] - lo[i + 1]:
+        x = gap.hi
+        return GapFrame(gap, x, False, x - left.lo, right.length,
+                        _Piece(left, -1, x), _Piece(right, 1, -x))
+    x = gap.lo
+    return GapFrame(gap, x, True, right.hi - x, left.length,
+                    _Piece(right, 1, -x), _Piece(left, -1, x))
 
 
 # ---------------------------------------------------------------------------
@@ -321,53 +333,6 @@ def _witness(stages: list[CantorStage], x: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Orient and frame
-# ---------------------------------------------------------------------------
-
-class _Piece(NamedTuple):
-    """A stage's part in ``window``, as offsets z -> scale * z + shift."""
-
-    window: ClosedInterval
-    scale: int
-    shift: Fraction
-
-    def of(self, stage: CantorStage) -> CantorStage:
-        return affine_image(restrict(stage, self.window), self.scale, self.shift)
-
-
-class _OrientedFrame(NamedTuple):
-    """The largest-gap frame of a stage, oriented so that the left bridge
-    dominates.  Offsets run from the oriented gap's right endpoint (the middle
-    point ``x`` in the caller's coordinates): the ``left`` piece spans
-    [gap_len, left_reach], the ``right`` piece [0, right_reach]."""
-
-    gap_len: Fraction
-    left_reach: Fraction
-    right_reach: Fraction
-    reflected: bool
-    x: Fraction
-    left: _Piece
-    right: _Piece
-
-
-def _orient_and_frame(stage: CantorStage) -> _OrientedFrame:
-    """Frame the stage at its largest gap (leftmost on ties).  When the right
-    bridge is the longer one, the same gap is read reflected: x is the gap's
-    left endpoint, the left piece is the right bridge under z -> z - x and
-    the right piece the left bridge under z -> x - z, so the reflection
-    always makes the left bridge dominate."""
-    frame = largest_gap_frame(stage)
-    gap, left, right = frame.gap, frame.left_bridge, frame.right_bridge
-    if frame.left_at_least_right:
-        x = gap.hi
-        return _OrientedFrame(gap.length, x - left.lo, right.length, False, x,
-                              _Piece(left, -1, x), _Piece(right, 1, -x))
-    x = gap.lo
-    return _OrientedFrame(gap.length, right.hi - x, left.length, True, x,
-                          _Piece(right, 1, -x), _Piece(left, -1, x))
-
-
-# ---------------------------------------------------------------------------
 # 3-AP search
 # ---------------------------------------------------------------------------
 
@@ -411,10 +376,10 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
 
     stages = family.stages(0, max_depth)
     deep = stages[-1]
-    fr = _orient_and_frame(deep)
-    if not (0 < fr.gap_len <= fr.right_reach <= fr.left_reach):
+    fr = largest_gap_frame(deep)
+    if not (0 < fr.gap.length <= fr.right_reach <= fr.left_reach):
         raise InternalContradictionError(
-            f"bridge inequalities failed: gap {fr.gap_len}, right {fr.right_reach}, "
+            f"bridge inequalities failed: gap {fr.gap.length}, right {fr.right_reach}, "
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
     t_enc = persistent_intersect([fr.left.of(deep)], [fr.right.of(deep)], check=False).chain[-1]
@@ -590,8 +555,8 @@ def _attempt_config(
                 f"{value} < certified bound {tau}"
             )
 
-    fr = _orient_and_frame(sub_stages[-1])
-    gap_len, left_reach, right_reach = fr.gap_len, fr.left_reach, fr.right_reach
+    fr = largest_gap_frame(sub_stages[-1])
+    gap_len, left_reach, right_reach = fr.gap.length, fr.left_reach, fr.right_reach
     if not (tau * gap_len <= right_reach and tau * gap_len <= left_reach - gap_len):
         raise InternalContradictionError(
             "bridge-ratio facts failed although thickness was verified"

@@ -677,6 +677,21 @@ def test_render_refuses_coordinates_past_the_float_range(tmp_path, capsys, extra
                    "integer division result too large for a float\n")
 
 
+def test_render_refuses_a_hull_wider_than_a_float(tmp_path, capsys):
+    """Each coordinate fits a float but the hull width does not: the linear
+    map has no finite span and exits 3; the log map compresses the hull and
+    renders every column."""
+    stage_file = tmp_path / "wide.json"
+    stage_file.write_text('{"depth": 0, "intervals": [["-1e308", "-9e307"], ["9e307", "1e308"]]}')
+    code, out, err = run(["render", str(stage_file)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: coordinates too large to render: "
+                   "the hull is wider than a float holds\n")
+    code, out, err = run(["render", str(stage_file), "--log-x"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count('class="interval"') == 2 and "nan" not in out and "inf" not in out
+
+
 def test_find_config_tiny_delta_stops_at_the_scan_limit(capsys):
     """subset_extract scans as deep as the interval budget allows, then
     gives up (a scan to depth 23 would not finish); the hint names the

@@ -1,6 +1,8 @@
 """Generators: middle-alpha, random thick sets, and the avoidance set."""
 
 import gc
+import sys
+import threading
 import weakref
 from fractions import Fraction as F
 
@@ -466,3 +468,34 @@ def test_interval_chain_walkdown_matches_stages():
     chain = fam.interval_chain(enc, 6)
     for depth, host in enumerate(chain):
         assert fam.stage(depth).interval_containing(enc) == host
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_thick_family(RandomThickSpec(F(2), 0, 3)),
+    lambda: middle_alpha_family(F(1, 3)),
+    lambda: AffineFamily(random_thick_family(RandomThickSpec(F(2), 0, 3)), F(-2, 3), F(1)),
+], ids=["random-thick", "middle-alpha", "affine"])
+def test_threads_sharing_a_family_build_each_depth_once(make):
+    """Two threads asking one family for the same depth both get that depth,
+    and the cache holds each depth once; a short switch interval makes the
+    threads interleave inside the fill loop."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            family, got = make(), []
+            start = threading.Barrier(2)
+
+            def ask():
+                start.wait()
+                got.append(family.stage(9))
+
+            threads = [threading.Thread(target=ask) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert [stage.depth for stage in family._stages] == list(range(10))
+            assert len(got) == 2 and all(stage is family._stages[9] for stage in got)
+    finally:
+        sys.setswitchinterval(interval)

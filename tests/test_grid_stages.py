@@ -460,8 +460,9 @@ def test_largest_gap_frame_matches_fraction_scan(stage):
     frame = largest_gap_frame(stage)
     left = bridge_at(stage, best.lo, "left").bridge
     right = bridge_at(stage, best.hi, "right").bridge
-    assert (frame.gap, frame.left_bridge, frame.right_bridge) == (best, left, right)
-    assert frame.left_at_least_right == (left.length >= right.length)
+    assert frame.reflected == (left.length < right.length)
+    windows = (right, left) if frame.reflected else (left, right)
+    assert (frame.gap, frame.left.window, frame.right.window) == (best, *windows)
 
 
 def _fraction_extract_window(family, delta, max_scan_depth):

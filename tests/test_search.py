@@ -21,6 +21,7 @@ from thickset import (
     RefinableFamily,
     SearchConfig,
     StageFamily,
+    ThicksetError,
     counterexample_calibrate,
     counterexample_parts,
     derivative_window,
@@ -45,7 +46,6 @@ from thickset.errors import InsufficientDepthError, InternalContradictionError
 from thickset.functions import range_bounds
 from thickset.search import (
     WITNESS_WIDTH,
-    _orient_and_frame,
     _shrink_centered,
     _validate_delta,
     avoidance_checks,
@@ -78,9 +78,9 @@ def right_heavy_family(tau=F(3)) -> RefinableFamily:
 def test_frame_middle_thirds():
     frame = largest_gap_frame(middle_alpha(F(1, 3), 2))
     assert (frame.gap.lo, frame.gap.hi) == (F(1, 3), F(2, 3))
-    assert frame.left_bridge == ClosedInterval(F(0), F(1, 3))
-    assert frame.right_bridge == ClosedInterval(F(2, 3), F(1))
-    assert frame.left_at_least_right  # tie counts as left-dominant
+    assert frame.left.window == ClosedInterval(F(0), F(1, 3))
+    assert frame.right.window == ClosedInterval(F(2, 3), F(1))
+    assert not frame.reflected  # tie counts as left-dominant
 
 
 def test_frame_counterexample_set():
@@ -94,8 +94,29 @@ def test_frame_counterexample_set():
 def test_frame_two_interval_set():
     frame = largest_gap_frame(make_stage([(0, 1), (3, 4)]))
     assert (frame.gap.lo, frame.gap.hi) == (F(1), F(3))
-    assert frame.left_bridge == ClosedInterval(F(0), F(1))
-    assert frame.right_bridge == ClosedInterval(F(3), F(4))
+    assert frame.left.window == ClosedInterval(F(0), F(1))
+    assert frame.right.window == ClosedInterval(F(3), F(4))
+    assert not frame.reflected
+
+
+def test_frame_reflected_reads_the_gap_from_its_left_endpoint():
+    """The right bridge [1/2, 1] is the longer, so x is the gap's left end
+    3/8: the left piece is the right bridge under z -> z - x and the right
+    piece the left bridge [0, 3/8] under z -> x - z."""
+    stage = right_heavy_family().stage(3)
+    frame = largest_gap_frame(stage)
+    x = F(3, 8)
+    assert (frame.gap.lo, frame.gap.hi) == (x, F(1, 2))
+    assert frame.reflected and frame.x == frame.gap.lo
+    assert frame.left.window == ClosedInterval(F(1, 2), F(1))
+    assert frame.right.window == ClosedInterval(F(0), x)
+    assert (frame.left_reach, frame.right_reach) == (F(5, 8), F(3, 8))
+    assert frame.left.of(stage).intervals == tuple(
+        ClosedInterval(iv.lo - x, iv.hi - x) for iv in stage.intervals if iv.lo >= F(1, 2))
+    assert frame.right.of(stage).intervals == tuple(
+        ClosedInterval(x - iv.hi, x - iv.lo) for iv in reversed(stage.intervals) if iv.hi <= x)
+    assert frame.left.of(stage).hull() == ClosedInterval(frame.gap.length, frame.left_reach)
+    assert frame.right.of(stage).hull() == ClosedInterval(F(0), frame.right_reach)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +513,43 @@ def test_search_witnesses_are_pinned(name):
     assert diagnostics == expected
 
 
+def _pinned_families():
+    for alpha in (F(1, 5), F(1, 6), F(1, 7)):
+        yield f"middle-alpha {alpha}", lambda a=alpha: middle_alpha_family(a)
+    for tau in (F(3, 2), F(2), F(3)):
+        for seed in (0, 1, 7):
+            make = lambda t=tau, s=seed: random_thick_family(RandomThickSpec(t, 0, s))
+            yield f"random-thick {tau} {seed}", make
+            yield f"affine random-thick {tau} {seed}", lambda m=make: AffineFamily(m(), F(-2, 3), F(1))
+
+
+def test_searches_over_21_families_and_4_finders_are_pinned():
+    """84 outcomes, 28 of them reflected: find_3ap and find_config for
+    f in {t, t + t^2/10, 9t/10 + t^2/20}, all at max_depth 8, on fresh
+    middle-alpha, random-thick and affine-view families."""
+    functions = [FunctionSpec((F(1),)), GENTLE, FunctionSpec((F(9, 10), F(1, 20)))]
+
+    def outcome(run):
+        try:
+            return run()
+        except ThicksetError as exc:
+            return [type(exc).__name__, str(exc)]
+
+    def config(make, f):
+        res = find_config(make(), f, SearchConfig(max_depth=8))
+        return [res.witness.to_json(), str(res.delta), res.extraction_offset, res.reflected]
+
+    outcomes = []
+    for name, make in _pinned_families():
+        outcomes.append([name, "3ap", outcome(lambda: find_3ap(make(), max_depth=8).to_json())])
+        for k, f in enumerate(functions):
+            outcomes.append([name, k, outcome(lambda: config(make, f))])
+    assert len(outcomes) == 84
+    assert sum(len(o[2]) == 4 and o[2][3] is True for o in outcomes) == 28
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "889f4bbecfea5b368ffe5bec56d39af72bedf19b4a30becb7e1ad819f9c574bc"
+
+
 # The config-middle-fifth witness of the earlier search, which inverted every
 # right-piece endpoint to 2^-64 and intersected in t coordinates.  It is still
 # a valid certificate and must keep replaying.
@@ -740,7 +798,7 @@ def test_find_3ap_matches_the_per_level_chain(case, monkeypatch):
     w = find_3ap(family, max_depth=8)
     assert len(calls) == 1
     monkeypatch.undo()
-    chain = _oracle_chain(_orient_and_frame(family.stage(8)), family.stages(0, 8))
+    chain = _oracle_chain(largest_gap_frame(family.stage(8)), family.stages(0, 8))
     assert w.t == chain[-1]
 
 
@@ -770,7 +828,7 @@ def test_find_config_matches_the_per_level_chain(case, monkeypatch):
         monkeypatch.setattr(search, fn.__name__, wrapped)
 
     spy("extract", search.subset_extract)
-    spy("frame", search._orient_and_frame)
+    spy("frame", search.largest_gap_frame)
     spy("deepest", search.persistent_intersect, lambda result: result.chain[-1])
     real_restrict = search.restrict
     monkeypatch.setattr(search, "restrict",
