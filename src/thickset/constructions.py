@@ -22,11 +22,10 @@ step, stage to child stage, is a capability a view takes from its base, and
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from hashlib import sha256
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -108,40 +107,38 @@ class StageFamily:
 
 
 class _GridRefiner:
-    """A built-in construction's refinement as one integer formula.
+    """A built-in construction's refinement as one integer formula that cuts
+    a whole level at once.
 
-    ``cut(x, y, depth, name)`` takes interval [x/den, y/den] of a grid over
-    any denominator ``den`` and returns the integers (a, b) that split it
-    into [x*factor, a] and [b, y*factor] over den*factor.  ``refine``
-    applies the formula to a whole stage grid at the stage's depth and
-    builds the child stage, nested by construction, from the child grid
-    alone.
+    ``cut(lo, hi, depth, texts)`` takes a stage grid's ``lo`` and ``hi``
+    over any denominator ``den`` and returns two lists (a, b): interval k,
+    [x/den, y/den], splits into [x*factor, a[k]] and [b[k], y*factor] over
+    den*factor.  ``refine`` interleaves them with the scaled ends into the
+    child grid and builds the child stage, nested by construction, alone.
 
-    A ``named`` cut's ``name`` is the lowest-terms texts of x/den and y/den
-    (else None), from ``core._endpoint_texts``; the child's memo ``_texts``
-    gets the parent's texts for its ends x*factor and y*factor, so each
-    endpoint is written once, by the first stage that has it, when that
-    stage is refined or written out.
+    A ``named`` refiner's ``texts`` are the lowest-terms texts of ``lo`` and
+    ``hi`` (else None), from ``core._endpoint_texts``; the child's memo
+    ``_texts`` gets the parent's texts for its ends x*factor and y*factor,
+    so each endpoint is written once, by the first stage that has it, when
+    that stage is refined or written out.
     """
 
-    def __init__(self, factor: int, cut: Callable[..., tuple[int, int]], named: bool = False):
+    def __init__(self, factor: int, cut: Callable[..., tuple[list, list]], named: bool = False):
         self.factor = factor
         self.cut = cut
         self.named = named
 
     def refine(self, parent: CantorStage) -> CantorStage:
         den, lo, hi = parent._grid
-        m, cut, depth = self.factor, self.cut, parent.depth
+        m = self.factor
         texts = _endpoint_texts(parent) if self.named else None
-        clo: list[int] = []
-        chi: list[int] = []
-        for x, y, name in zip(lo, hi, repeat(None) if texts is None else zip(*texts)):
-            a, b = cut(x, y, depth, name)
-            clo += (x * m, b)
-            chi += (a, y * m)
+        a, b = self.cut(lo, hi, parent.depth, texts)
+        clo, chi = [0] * (2 * len(lo)), [0] * (2 * len(lo))
+        clo[::2], clo[1::2] = [x * m for x in lo], b
+        chi[::2], chi[1::2] = a, [y * m for y in hi]
         # [x*m, a] and [b, y*m] pass the order and disjointness checks only if
         # x*m <= a < b <= y*m, inside [x, y]: a nesting check could never fail.
-        child = CantorStage._from_grid((den * m, clo, chi), depth + 1)
+        child = CantorStage._from_grid((den * m, clo, chi), parent.depth + 1)
         if texts is not None:
             clt, cht = [None] * len(clo), [None] * len(chi)
             clt[::2], cht[1::2] = texts
@@ -244,10 +241,10 @@ class AffineFamily(StageFamily):
 def _middle_alpha_refiner(alpha: Fraction) -> _GridRefiner:
     bn, bd = ((1 - alpha) / 2).as_integer_ratio()
 
-    def cut(x: int, y: int, _depth: int, _name: None) -> tuple[int, int]:
+    def cut(lo: list[int], hi: list[int], _depth: int, _texts: None):
         # Over den*bd, beta * width is bn * (y - x).
-        keep = bn * (y - x)
-        return x * bd + keep, y * bd - keep
+        return ([x * bd + bn * (y - x) for x, y in zip(lo, hi)],
+                [y * bd - bn * (y - x) for x, y in zip(lo, hi)])
 
     return _GridRefiner(bd, cut)
 
@@ -310,21 +307,10 @@ class RandomThickSpec:
             raise DomainError("seed must be a 64-bit unsigned integer")
 
 
-_SHARE_BITS = 16
-
-
-def _seeded_share(tag, suffix: bytes) -> int:
-    """Deterministic pseudo-random numerator in [0, 2**_SHARE_BITS) from
-    ``tag``, a sha256 state, updated with ``suffix``; the share is that
-    numerator over 2**_SHARE_BITS."""
-    tag.update(suffix)
-    return int.from_bytes(tag.digest()[:_SHARE_BITS // 8], "big")
-
-
 def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     tn, td = spec.target_tau.as_integer_ratio()
     crit = 2 * tn + td  # alpha = 1 / (2 tau + 1) = td / crit
-    unit = 2 ** _SHARE_BITS
+    unit = 2 ** 16  # a share is the first two bytes of a sha256, over unit
     placement = spec.gap_placement
     pd = unit if placement is None else placement.denominator
     # Gap strictly below the critical proportion so the admissible placement
@@ -334,17 +320,18 @@ def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     # placement*(1 - s) (left flank) and that plus s*alpha (gap), both over
     # cd = 2*unit*crit*pd.
     cd = 2 * unit * crit * pd
+    gap = td * pd
 
-    def cut(x: int, y: int, depth: int, name: tuple[str, str]) -> tuple[int, int]:
-        # The tag names the interval by its lowest-terms endpoints; it is
-        # hashed once, and the state copied for the second suffix.
-        tag = hashlib.sha256(f"{spec.seed}:{depth}:{name[0]}:{name[1]}".encode())
-        pn = _seeded_share(tag.copy(), b":pos") if placement is None else placement.numerator
-        sn = unit + _seeded_share(tag, b":len")
-        left = tn * sn * pd + pn * (2 * unit - sn) * crit
-        right = left + sn * td * pd
-        base, width = x * cd, y - x
-        return base + width * left, base + width * right
+    def cut(lo: list[int], hi: list[int], depth: int, texts: tuple[list[str], list[str]]):
+        # The tag names an interval by its lowest-terms endpoints; each share
+        # hashes it with its own suffix.
+        tags = [f"{spec.seed}:{depth}:{x}:{y}".encode() for x, y in zip(*texts)]
+        sns = [unit + int.from_bytes(sha256(t + b":len").digest()[:2], "big") for t in tags]
+        pns = ([placement.numerator] * len(tags) if placement is not None else
+               [int.from_bytes(sha256(t + b":pos").digest()[:2], "big") for t in tags])
+        lefts = [tn * sn * pd + pn * (2 * unit - sn) * crit for sn, pn in zip(sns, pns)]
+        a = [x * cd + (y - x) * left for x, y, left in zip(lo, hi, lefts)]
+        return a, [c + (y - x) * sn * gap for c, x, y, sn in zip(a, lo, hi, sns)]
 
     return _GridRefiner(cd, cut, named=True)
 

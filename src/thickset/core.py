@@ -108,6 +108,35 @@ def _lowest_terms_text(n: int, d: int) -> str:
         raise DomainError(f"rational too long to write: {exc}") from exc
 
 
+def _grid_texts(den: int, ends: Iterable[int]) -> list[str]:
+    """``[_rational_text(x, den) for x in ends]`` for den > 0.  With den
+    split once into ``2**k * odd``, x/den reduces by 2**v, v the lesser of k
+    and x's trailing zero bits, then by ``gcd(x >> v, odd)``: a built-in
+    grid's odd part has a few bits, so that gcd is short.  Each reduced
+    denominator's text is written once per call."""
+    k = (den & -den).bit_length() - 1
+    odd = den >> k
+    tails: dict[tuple[int, int], str] = {}
+    texts = []
+    try:
+        for x in ends:
+            v = (x & -x or den).bit_length() - 1  # x = 0 takes v = k
+            if v > k:
+                v = k
+            x >>= v
+            g = math.gcd(x, odd)
+            if g > 1:
+                x //= g
+            tail = tails.get((v, g))
+            if tail is None:
+                d = (odd // g) << (k - v)
+                tail = tails[v, g] = f"/{d}" if d > 1 else ""
+            texts.append(f"{x}{tail}")
+    except ValueError as exc:
+        raise DomainError(f"rational too long to write: {exc}") from exc
+    return texts
+
+
 @dataclass(frozen=True)
 class ClosedInterval:
     """A closed interval [lo, hi] with lo <= hi; also the type of certified
@@ -119,10 +148,14 @@ class ClosedInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", to_rational(self.lo))
-        object.__setattr__(self, "hi", to_rational(self.hi))
-        if self.lo > self.hi:
-            raise DomainError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            object.__setattr__(self, "lo", lo := to_rational(lo))
+        if type(hi) is not Fraction:
+            object.__setattr__(self, "hi", hi := to_rational(hi))
+        # On ints: Fraction's own comparison checks the Rational ABC each call.
+        if lo._numerator * hi._denominator > hi._numerator * lo._denominator:
+            raise DomainError(f"interval endpoints out of order: [{lo}, {hi}]")
 
     @property
     def length(self) -> Fraction:
@@ -704,13 +737,15 @@ def affine_image(stage: CantorStage, scale: RationalLike, shift: RationalLike) -
 
 def _endpoint_texts(stage: CantorStage) -> tuple[list[str], list[str]]:
     """The texts of the grid's ``lo`` and ``hi`` endpoints: those the memo
-    holds, the rest written from the grid (and kept, if it has a memo)."""
+    holds, the rest written from the grid by ``_grid_texts`` (and kept, if
+    it has a memo)."""
     den, lo, hi = stage._grid
     memo = stage.__dict__.get("_texts")
     if memo is None:
-        return [_rational_text(x, den) for x in lo], [_rational_text(x, den) for x in hi]
+        return _grid_texts(den, lo), _grid_texts(den, hi)
     for ends, texts in zip((lo, hi), memo):
-        texts[:] = [t or _rational_text(x, den) for x, t in zip(ends, texts)]
+        written = iter(_grid_texts(den, [x for x, t in zip(ends, texts) if t is None]))
+        texts[:] = [t or next(written) for t in texts]
     return memo
 
 

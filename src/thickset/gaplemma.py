@@ -24,6 +24,7 @@ from .core import (
     CantorStage,
     ClosedInterval,
     Gap,
+    _endpoint_texts,
     rational_str,
     thickness,
 )
@@ -140,7 +141,7 @@ class IntersectionWitness:
 
     def to_json(self) -> dict:
         return {
-            "common": [iv.to_json() for iv in self.common.intervals],
+            "common": [[a, b] for a, b in zip(*_endpoint_texts(self.common))],
             "sample_point": rational_str(self.sample_point),
             "chain": [iv.to_json() for iv in self.chain],
         }

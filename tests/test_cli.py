@@ -647,6 +647,34 @@ def test_bridges_json_bytes_are_pinned(tmp_path, capsys):
     assert digest == "7a10bc48268cf10a74779177d356448540103f2baa6e3515a721e878a822cd82"
 
 
+@pytest.mark.parametrize("pair, digest", [
+    ("thick", "23ef41dcacff0941e93aa83ddc90882283a0c2876c48dbedd487f7f1292e39da"),
+    ("points", "8268a8b876c2ad89c702c20ae4629dcdd3fa87ad713638eadcce2f4e45a8b944"),
+], ids=["random-thick", "point-intervals"])
+def test_check_gap_lemma_payload_is_pinned(tmp_path, capsys, pair, digest):
+    """sha256 of the check-gap-lemma output, taken while ``common`` was
+    written from one Fraction per endpoint: on two depth-9 random-thick
+    files, and on a depth-6 random-thick stage against the closures of its
+    own gaps, whose intersection is the 126 touching points, each a point
+    interval."""
+    a, b, out_file = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+    construct = ["construct", "--random-thick", "5/2", "--seed", "3", "--out", str(a)]
+    if pair == "thick":
+        assert run([*construct, "--depth", "9"], capsys)[0] == 0
+        assert run(["construct", "--random-thick", "3", "--depth", "9", "--seed", "4",
+                    "--gap-placement", "1/3", "--out", str(b)], capsys)[0] == 0
+    else:
+        assert run([*construct, "--depth", "6"], capsys)[0] == 0
+        pairs = json.loads(a.read_text())["intervals"]
+        gaps = [[x[1], y[0]] for x, y in zip(pairs, pairs[1:])]
+        b.write_text(json.dumps({"depth": 6, "intervals": gaps}))
+    assert run(["check-gap-lemma", str(a), str(b), "--out", str(out_file)], capsys)[0] == 0
+    if pair == "points":
+        common = json.loads(out_file.read_text())["intersection"]["common"]
+        assert len(common) == 126 and all(lo == hi for lo, hi in common)
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("verb, digest", [
     (["bridges"], "927a0a5e755073df699d427130e5276120b944e9ba3b842b8491506b46cf591c"),
     (["thickness", "--json"], "da120ad5a54d680e73413c1b63f46d019d75ae5cdc7a4f2e0883ba4ed9e5df07"),

@@ -288,21 +288,27 @@ def test_middle_alpha_refiner_matches_naive_arithmetic(alpha, base):
 
 
 def test_random_thick_refinement_writes_each_endpoint_text_once(monkeypatch):
-    """Building to depth 8 writes the root's two texts and each depth-k
-    stage's 2**k cut points for k = 1..7: 256, where two texts per cut are
-    510.  Writing a refined stage writes none; writing the deepest writes
-    its own cut points, half of its endpoints.  Middle-alpha names no
-    interval and writes none."""
+    """Building to depth 8 hands the text kernel the root's two endpoints
+    and each depth-k stage's 2**k cut points for k = 1..7: 256, where two
+    texts per cut are 510.  Writing a refined stage hands it none; writing
+    the deepest hands it its own cut points, half of its endpoints.
+    Middle-alpha names no interval and hands it none until written."""
     calls = []
-    write = core._rational_text
-    monkeypatch.setattr(core, "_rational_text", lambda n, d: calls.append(d) or write(n, d))
+    write = core._grid_texts
+
+    def counting(den, ends):
+        ends = list(ends)
+        calls.extend(ends)
+        return write(den, ends)
+
+    monkeypatch.setattr(core, "_grid_texts", counting)
     family = random_thick_family(RandomThickSpec(F(2), 0, 1))
     family.stage(8)
     assert len(calls) == 256 == 2 + sum(2 ** k for k in range(1, 8))
     stage_to_json(family.stage(7))
     assert len(calls) == 256
     stage_to_json(family.stage(8))
-    assert len(calls) == 256 + 256
+    assert len(calls) == 256 + 256 == 256 + family.stage(8).count
     del calls[:]
     stage = middle_alpha_family(F(1, 3)).stage(8)
     assert calls == [] and "_texts" not in stage.__dict__

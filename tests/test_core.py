@@ -39,6 +39,7 @@ from thickset import cli
 from thickset.core import (
     _bridge_ends,
     _bridges_json,
+    _grid_texts,
     _rational_text,
     rational_str,
     to_rational,
@@ -542,6 +543,31 @@ def test_json_integer_coordinates_accepted():
 def test_rational_text_is_the_fraction_text(n, d, common):
     for num, den in ((n, d), (0, d), (n * common, d * common)):
         assert _rational_text(num, den) == str(F(num, den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 400),
+       st.one_of(st.just(1), st.integers(1, 2 ** 300).map(lambda n: 2 * n + 1)),
+       st.lists(st.one_of(st.integers(-2 ** 800, 2 ** 800), st.integers(-10 ** 6, 10 ** 6)),
+                max_size=20),
+       st.integers(0, 400))
+def test_grid_texts_are_the_fraction_texts(k, odd, xs, shift):
+    """The kernel's shift-and-odd-gcd reduction against one Fraction per
+    endpoint: grids from 2**k * odd down to den == 1, endpoints of either
+    sign, zero, and endpoints that share the grid's powers of two."""
+    for den in (2 ** k * odd, 1):
+        ends = [0, *xs, *(x << shift for x in xs), *(x * odd for x in xs)]
+        assert _grid_texts(den, ends) == [rational_str(F(x, den)) for x in ends]
+
+
+def test_grid_texts_past_the_digit_limit_are_a_domain_error():
+    """A numerator or a reduced denominator over 4300 digits is refused as
+    ``rational_str`` refuses it, and a whole number still writes."""
+    den = 2 ** 20 * 5 ** 7000  # 4,899 digits
+    for ends in ([1], [10 ** 4400 * den + 1], [2 ** 20, 0]):
+        with pytest.raises(DomainError, match=r"^rational too long to write: .*4300 digits"):
+            _grid_texts(den, ends)
+    assert _grid_texts(den, [0, den, -2 * den]) == ["0", "1", "-2"]
 
 
 def test_reports_recompute_bit_for_bit():
