@@ -21,10 +21,13 @@ Endpoints are ``fractions.Fraction`` at the API and JSON edge, which
 guarantees lowest terms and a positive denominator.  The primary form of a
 stage is one integer grid: its endpoints as Python ints over one common
 denominator, the lcm of the endpoint denominators for a stage built from
-intervals or parsed from stage JSON (there, the denominators as written),
-any common multiple for a stage that ``restrict``, a polynomial image
-(affine or the search's map f), the gap-lemma merge or a built-in refiner
-builds straight from the grid it computed.  Stage validation, the nesting
+intervals or parsed from stage JSON, any common multiple for a stage that
+``restrict``, a polynomial image (affine or the search's map f), the
+gap-lemma merge or a built-in refiner builds straight from the grid it
+computed.  A stage file of plain '-?digits[/digits]' texts passes one
+whole-file screen and is read over its denominators as written, with no
+``Fraction``; any other file is read token by token through ``Fraction``,
+so the first fault in file order is the one reported.  Stage validation, the nesting
 check, bridges, thickness, the point and piece lookups and the endpoint
 locator ``_endpoint_index`` read the grid, so they compare and subtract ints
 instead of walking ``Fraction`` chains.  A grid-built stage normalises its
@@ -44,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import eq, le, lt, ne
+from operator import eq, itemgetter, le, lt, mul, ne
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError
@@ -755,49 +758,52 @@ def stage_to_json(stage: CantorStage) -> dict:
     return {"depth": stage.depth, "intervals": [[a, b] for a, b in zip(lo, hi)]}
 
 
-def _token_ratio(token, dens: dict[str, int]) -> tuple[int, int]:
-    """A coordinate token as (numerator, positive denominator), not
-    necessarily in lowest terms.  An int or an ASCII '-?digits[/digits]'
-    string is read here, each denominator text converted once per file
-    through ``dens``; every other token goes through to_rational, so
-    Fraction keeps deciding what it accepts and its error text."""
-    if type(token) is int:
-        return token, 1
-    if type(token) is str and token.isascii():
-        num, slash, den = token.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit():
-            if not slash:
-                return int(num), 1
-            q = dens.get(den)
-            if q is None and den.isdigit():
-                q = dens[den] = int(den)
-            if q:
-                return int(num), q
-    return to_rational(token).as_integer_ratio()
+def _screened_grid(pairs) -> Optional[Grid]:
+    """The grid of a stage file's pairs, over the lcm of its denominators
+    as written, when one whole-file screen passes: every pair two ASCII str
+    tokens '-?digits' or '-?digits/digits', nonzero denominators and, so
+    that ``int`` reads no other numerator, no whitespace, '+' or '_'."""
+    try:
+        tokens = [t for lo, hi in pairs for t in (lo, hi)]
+        text = "".join(tokens)
+        if not text.isascii() or any(c in text for c in " \t\n\r\v\f+_"):
+            return None
+        del text  # 170 kB for a depth-9 file, not kept beside the lists below
+        parts = [t.partition("/") for t in tokens]
+        dens = list(map(itemgetter(2), parts))
+        # An empty denominator text is a token with no '/', never one ending in '/'.
+        if dens.count("") != list(map(itemgetter(1), parts)).count(""):
+            return None
+        qs = {d: int(d or 1) for d in set(dens)}
+        if not all(map(str.isdigit, qs.keys() - {""})) or not all(qs.values()):
+            return None
+        den = math.lcm(*qs.values())
+        scale = {d: den // q for d, q in qs.items()}
+        grid = list(map(mul, map(int, map(itemgetter(0), parts)), map(scale.__getitem__, dens)))
+    except (TypeError, ValueError):
+        return None
+    return den, grid[::2], grid[1::2]
 
 
 def stage_from_json(data: dict) -> CantorStage:
     """Parse a stage object straight to its integer grid; the depth must be
     a JSON integer and every coordinate an integer or a 'p/q' string
-    (floats and booleans are rejected, never rounded).  Each pair's order
-    is checked as it is read; the other stage checks run on the grid, and
-    ``intervals`` is built on first read."""
+    (floats and booleans are rejected, never rounded).  A file that
+    ``_screened_grid`` takes is read in a few whole-file passes, and
+    ``_validate`` is its one order check.  Any other file goes token by
+    token through ``to_rational``, each pair's order checked as it is read,
+    so the first fault in file order wins and Fraction keeps deciding what
+    it accepts and its error text.  ``intervals`` is built on first read."""
     try:
         depth = data["depth"]
         pairs = data["intervals"]
         _require_int("stage depth", depth)
-        dens: dict[str, int] = {}
-        ends = []
-        for lo, hi in pairs:
-            (a, p), (b, q) = _token_ratio(lo, dens), _token_ratio(hi, dens)
-            if a * q > b * p:
-                raise DomainError(
-                    f"interval endpoints out of order: [{Fraction(a, p)}, {Fraction(b, q)}]"
-                )
-            ends += (a, p), (b, q)
+        grid = _screened_grid(pairs)
+        if grid is None:
+            ivs = [ClosedInterval(lo, hi) for lo, hi in pairs]
+            grid = _grid_of([x.as_integer_ratio() for iv in ivs for x in (iv.lo, iv.hi)])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed stage object: {exc}") from exc
-    grid = _grid_of(ends)
     return CantorStage._from_grid(grid, depth, any(map(eq, grid[1], grid[2])))
 
 
@@ -817,9 +823,19 @@ def dumps_stage(stage: CantorStage, indent: int | str | None = None) -> str:
     return f'{{{n1}"depth": {stage.depth},{n1}"intervals": [{n2}{pairs}{n1}]\n}}'
 
 
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key written twice is refused, never resolved."""
+    obj = {}
+    for key, value in items:
+        if key in obj:
+            raise DomainError(f"duplicate key in stage JSON: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def loads_stage(text: str) -> CantorStage:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise DomainError("stage JSON is nested too deeply") from exc
     except json.JSONDecodeError:

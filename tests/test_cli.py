@@ -416,6 +416,21 @@ def test_deeply_nested_stage_file_is_exit_3(tmp_path, capsys):
         assert (code, out, err) == (3, "", "error: stage JSON is nested too deeply\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"depth": 1, "intervals": [["0", "1"]], "depth": 2}',
+     "error: duplicate key in stage JSON: 'depth'\n"),
+    ('{"depth": 1, "intervals": [["0", "0/-1"]]}',
+     "error: malformed stage object: Invalid literal for Fraction: '0/-1'\n"),
+], ids=["duplicate-key", "negative-denominator"])
+def test_refused_stage_files_are_exit_3(tmp_path, capsys, text, message):
+    """A key written twice is refused, never resolved by its last copy."""
+    stage = tmp_path / "k.json"
+    stage.write_text(text)
+    for verb in (["thickness", "--json"], ["bridges"], ["render"], ["check-gap-lemma", str(stage)]):
+        code, out, err = run([*verb, str(stage)], capsys)
+        assert (code, out, err) == (3, "", message)
+
+
 _LONG = "1" + "0" * 5000
 
 

@@ -3,6 +3,8 @@ constructor and the Fraction oracles in conftest."""
 
 import contextlib
 import copy
+import functools
+import hashlib
 import json
 import math
 import pickle
@@ -738,6 +740,162 @@ def test_stage_file_faults_are_reported_in_file_order(text, error):
     stage, got_error = _parse(loads_stage, text)
     assert got_error == error
     assert stage == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _depth_9_file() -> str:
+    """The stage file ``thickset construct --random-thick 3/2 --depth 9
+    --seed 7`` writes: 512 intervals, 1,024 '-?digits[/digits]' tokens over
+    a 293-bit grid denominator."""
+    return dumps_stage(random_thick_family(RandomThickSpec(F(3, 2), 9, 7)).stage(9), indent=2)
+
+
+def _assert_parsed_like_fractions(data: dict) -> None:
+    """Both the object and its JSON text give the per-token parser's stage
+    or its error text."""
+    expected, expected_error = _parse(fraction_stage_from_json, data)
+    for stage, error in (_parse(stage_from_json, data), _parse(loads_stage, json.dumps(data))):
+        assert error == expected_error
+        assert stage == expected
+        if expected is not None:
+            assert stage.allow_degenerate == expected.allow_degenerate
+
+
+def test_a_depth_9_construct_file_loads_on_the_screened_path():
+    """No Fraction is built, and the grid (den, lo, hi) is pinned by a
+    sha256 taken before the whole-file screen was written, so every byte
+    written from it stays the same."""
+    text = _depth_9_file()
+    with _fraction_count() as calls:
+        stage = loads_stage(text)
+    assert calls == [0] and _is_lazy(stage)
+    assert hashlib.sha256(repr(stage._grid).encode()).hexdigest() == (
+        "0bf143f60467f2ba640bf26fbb982014351734cbb59c4ac9c42da42bd4907d59")
+
+
+_HANDED_OFF = {
+    "negative-denominator": "0/-1",
+    "underscore": "1_0/3",
+    "plus": "+1/2",
+    "leading-space": " 1/2",
+    "trailing-space": "1/2 ",
+    "two-slashes": "1/2/3",
+    "empty-denominator": "1/",
+    "arabic-indic-digit": "١/2",
+    "json-int": 1,
+    "json-true": True,
+    "4301-digit-numerator": "1" + "0" * 4300 + "/3",
+}
+_POSITIONS = pytest.mark.parametrize("at", [0, 511, 1023], ids=["first", "middle", "last"])
+
+
+@_POSITIONS
+@pytest.mark.parametrize("token", list(_HANDED_OFF.values()), ids=list(_HANDED_OFF))
+def test_the_screen_hands_each_odd_token_of_a_large_file_to_fraction(token, at):
+    """Coordinate token ``at`` (in file order) replaced by a token the
+    screen must not read itself."""
+    data = json.loads(_depth_9_file())
+    data["intervals"][at // 2][at % 2] = token
+    _assert_parsed_like_fractions(data)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_RESPELLINGS = {
+    "plus": lambda t: "+" + t,
+    "whitespace": lambda t: f" {t}\t",
+    "underscore": lambda t: "{}_0/{}0".format(*F(t).as_integer_ratio()),
+    "arabic-indic-digits": lambda t: t.translate(_ARABIC_INDIC),
+}
+
+
+@_POSITIONS
+@pytest.mark.parametrize("respell", list(_RESPELLINGS.values()), ids=list(_RESPELLINGS))
+def test_a_large_file_with_one_respelled_token_loads_token_by_token(respell, at):
+    """A token Fraction reads as the same endpoint: the file falls back to
+    the per-token loop and loads as the stage it spelled."""
+    data = json.loads(_depth_9_file())
+    data["intervals"][at // 2][at % 2] = respell(data["intervals"][at // 2][at % 2])
+    _assert_parsed_like_fractions(data)
+    assert stage_from_json(data) == loads_stage(_depth_9_file())
+
+
+def test_a_large_file_with_json_int_endpoints_loads_token_by_token():
+    data = json.loads(_depth_9_file())
+    pairs = data["intervals"]
+    assert (pairs[0][0], pairs[-1][1]) == ("0", "1")
+    pairs[0][0], pairs[-1][1] = 0, 1
+    _assert_parsed_like_fractions(data)
+    assert stage_from_json(data) == loads_stage(_depth_9_file())
+
+
+@pytest.mark.parametrize("first, second, error", [
+    ("reversed", "0/-1", "interval endpoints out of order: "),
+    ("0/-1", "reversed", "malformed stage object: Invalid literal for Fraction: '0/-1'"),
+], ids=["order-fault-first", "malformed-token-first"])
+def test_file_order_decides_between_an_order_fault_and_a_malformed_token(first, second, error):
+    data = json.loads(_depth_9_file())
+    for k, fault in ((3, first), (400, second)):
+        if fault == "reversed":
+            data["intervals"][k].reverse()
+        else:
+            data["intervals"][k][1] = fault
+    _assert_parsed_like_fractions(data)
+    with pytest.raises(DomainError) as exc:
+        stage_from_json(data)
+    assert str(exc.value).startswith(error)
+
+
+# The stage checks on the grid are the screened path's only order check;
+# the int-token path (JSON ints, read token by token) must agree with them.
+# One grid unit is 1/7 on the first and 1 on the second.
+_GRID_UNITS = pytest.mark.parametrize("q", [7, 1], ids=["screened", "int-token"])
+
+
+def _stage_text(q: int, pairs) -> str:
+    """A stage file of intervals [a/q, b/q]: 'n/q' strings, or JSON ints when q is 1."""
+    token = (lambda n: n) if q == 1 else (lambda n: f"{n}/{q}")
+    return json.dumps({"depth": 2, "intervals": [[token(a), token(b)] for a, b in pairs]})
+
+
+@_GRID_UNITS
+def test_touching_intervals_are_refused(q):
+    pairs = [(0, 1), (2, 3), (3, 5)]
+    with pytest.raises(DomainError) as exc:
+        loads_stage(_stage_text(q, pairs))
+    a, b, c = F(2, q), F(3, q), F(5, q)
+    assert str(exc.value) == (
+        f"stage intervals must be disjoint and increasing: [{a}, {b}] then [{b}, {c}]")
+    _assert_parsed_like_fractions(json.loads(_stage_text(q, pairs)))
+
+
+@_GRID_UNITS
+def test_a_point_interval_one_grid_unit_from_its_neighbours_loads_as_degenerate(q):
+    pairs = [(0, 1), (2, 2), (3, 4)]
+    stage = loads_stage(_stage_text(q, pairs))
+    assert stage.allow_degenerate
+    assert [(iv.lo, iv.hi) for iv in stage.intervals] == [(F(a, q), F(b, q)) for a, b in pairs]
+    assert not loads_stage(_stage_text(q, [(0, 1), (2, 3)])).allow_degenerate
+
+
+@_GRID_UNITS
+def test_lo_one_grid_unit_above_hi_is_refused(q):
+    pairs = [(0, 1), (3, 2), (4, 5)]
+    with pytest.raises(DomainError) as exc:
+        loads_stage(_stage_text(q, pairs))
+    assert str(exc.value) == f"interval endpoints out of order: [{F(3, q)}, {F(2, q)}]"
+    _assert_parsed_like_fractions(json.loads(_stage_text(q, pairs)))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"depth": 1, "intervals": [["0", "1"]], "depth": 2}', "depth"),
+    ('{"intervals": [["0", "1"]], "depth": 1, "intervals": [["2", "3"]]}', "intervals"),
+    ('{"depth": 1, "intervals": [[{"lo": 0, "lo": 1}, "1"]]}', "lo"),
+], ids=["depth", "intervals", "nested"])
+def test_loads_stage_refuses_a_duplicate_key(text, key):
+    """The last copy of a key never quietly wins."""
+    with pytest.raises(DomainError) as exc:
+        loads_stage(text)
+    assert str(exc.value) == f"duplicate key in stage JSON: {key!r}"
 
 
 def test_whole_stage_verbs_build_no_interval_of_a_loaded_stage():
