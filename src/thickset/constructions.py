@@ -323,12 +323,17 @@ def _random_thick_refiner(spec: RandomThickSpec) -> _GridRefiner:
     gap = td * pd
 
     def cut(lo: list[int], hi: list[int], depth: int, texts: tuple[list[str], list[str]]):
-        # The tag names an interval by its lowest-terms endpoints; each share
-        # hashes it with its own suffix.
-        tags = [f"{spec.seed}:{depth}:{x}:{y}".encode() for x, y in zip(*texts)]
-        sns = [unit + int.from_bytes(sha256(t + b":len").digest()[:2], "big") for t in tags]
-        pns = ([placement.numerator] * len(tags) if placement is not None else
-               [int.from_bytes(sha256(t + b":pos").digest()[:2], "big") for t in tags])
+        # The tag names an interval by its lowest-terms endpoints and is hashed
+        # once: the ":len" share extends a copy of that state, ":pos" the state.
+        sns, pns = [], [] if placement is None else [placement.numerator] * len(lo)
+        for x, y in zip(*texts):
+            tag = sha256(f"{spec.seed}:{depth}:{x}:{y}".encode())
+            share = tag.copy()
+            share.update(b":len")
+            sns.append(unit + int.from_bytes(share.digest()[:2], "big"))
+            if placement is None:
+                tag.update(b":pos")
+                pns.append(int.from_bytes(tag.digest()[:2], "big"))
         lefts = [tn * sn * pd + pn * (2 * unit - sn) * crit for sn, pn in zip(sns, pns)]
         a = [x * cd + (y - x) * left for x, y, left in zip(lo, hi, lefts)]
         return a, [c + (y - x) * sn * gap for c, x, y, sn in zip(a, lo, hi, sns)]

@@ -761,11 +761,16 @@ def stage_to_json(stage: CantorStage) -> dict:
 def _screened_grid(pairs) -> Optional[Grid]:
     """The grid of a stage file's pairs, over the lcm of its denominators
     as written, when one whole-file screen passes: every pair two ASCII str
-    tokens '-?digits' or '-?digits/digits', nonzero denominators and, so
-    that ``int`` reads no other numerator, no whitespace, '+' or '_'."""
+    tokens '-?digits' or '-?digits/digits' (a JSON int is read as its
+    ``str``; a bool or float is not), nonzero denominators and, so that
+    ``int`` reads no other numerator, no whitespace, '+' or '_'."""
     try:
         tokens = [t for lo, hi in pairs for t in (lo, hi)]
-        text = "".join(tokens)
+        try:
+            text = "".join(tokens)
+        except TypeError:
+            tokens = [str(t) if type(t) is int else t for t in tokens]
+            text = "".join(tokens)
         if not text.isascii() or any(c in text for c in " \t\n\r\v\f+_"):
             return None
         del text  # 170 kB for a depth-9 file, not kept beside the lists below

@@ -4,8 +4,8 @@ The search pipeline needs three capabilities from its function family, all
 of them certified:
 
 * exact evaluation and exact formal derivatives,
-* exact sign decisions for the derivative on an interval (Sturm sequences
-  over the rationals),
+* exact sign decisions for the derivative on an interval (Sturm counting:
+  one chain per call, integer signs, half-open counting of (lo, hi]),
 * certified monotone inverses (bisection enclosures, never Newton: sign
   changes plus exact arithmetic give unconditional correctness).
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import ClosedInterval, RationalLike, rational_str, to_rational
 from .errors import DomainError, RangeError
@@ -77,36 +77,17 @@ class Polynomial:
     def neg(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
 
-    def divmod_linear(self, root: Fraction) -> tuple["Polynomial", Fraction]:
-        """Synthetic division by (t - root): returns (quotient, remainder)."""
-        if self.degree == 0:
-            return Polynomial((Fraction(0),)), self.coeffs[0]
-        out: list[Fraction] = [self.coeffs[-1]]
-        for c in reversed(self.coeffs[:-1]):
-            out.append(c + out[-1] * root)
-        rem = out.pop()
-        out.reverse()
-        return Polynomial(tuple(out)), rem
-
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)
     quo = [Fraction(0)] * max(1, a.degree - b.degree + 1)
-    bc = b.coeffs
-    while len(rem) - 1 >= b.degree and any(c != 0 for c in rem):
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < b.degree:
-            break
-        shift = len(rem) - 1 - b.degree
-        factor = rem[-1] / bc[-1]
-        quo[shift] = factor
-        for i, c in enumerate(bc):
+    for shift in range(a.degree - b.degree, -1, -1):
+        quo[shift] = factor = rem[shift + b.degree] / b.coeffs[-1]
+        for i, c in enumerate(b.coeffs):
             rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial(tuple(quo)), Polynomial(tuple(rem))
+    return Polynomial(tuple(quo)), Polynomial(tuple(rem[:b.degree]))
 
 
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -141,32 +122,58 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return seq[:-1]
 
 
-def _variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _integer_sign_evaluator(p: Polynomial, y: Fraction):
+    """sign((p - y)(num/den)) as pure integer arithmetic, den > 0: the one
+    sign kernel of this module, behind Sturm counting and the inverse.
+
+    Clearing denominators once lets the bisection loops run on machine
+    integers (arbitrary precision, but without per-step gcd normalization),
+    which dominates their cost otherwise.
+    """
+    shifted = [p.coeffs[0] - y] + list(p.coeffs[1:])
+    scale = math.lcm(*(c.denominator for c in shifted))
+    ints = [int(c * scale) for c in shifted]
+
+    def sign_at(num: int, den: int) -> int:
+        acc = ints[-1]
+        dpow = 1
+        for c in reversed(ints[:-1]):
+            dpow *= den
+            acc = acc * num + c * dpow
+        return (acc > 0) - (acc < 0)
+
+    return sign_at
+
+
+def _sturm_grid(p: Polynomial, window: ClosedInterval):
+    """(V, a, b, den, v_lo): the window as [a/den, b/den] over the lcm of its
+    denominators; V(num/den), the sign variations (zeros dropped) of the
+    Sturm chain of p's square-free part, built once, so that V(x) - V(y)
+    counts the roots in (x, y]; and v_lo, V just left of lo."""
+    signs = [_integer_sign_evaluator(q, 0) for q in sturm_sequence(square_free_part(p))]
+
+    def variations(num: int, den: int) -> int:
+        count, last = 0, 0
+        for sign_at in signs:
+            s = sign_at(num, den)
+            if s:
+                count += s == -last
+                last = s
+        return count
+
+    lo, hi = window.lo, window.hi
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    return variations, a, b, den, variations(a, den) + (signs[0](a, den) == 0)
 
 
 def count_roots(p: Polynomial, window: ClosedInterval) -> int:
-    """Number of distinct real roots of p in the closed window. Exact."""
+    """Number of distinct real roots of p in the closed window. Exact: one
+    Sturm chain per call, integer signs, half-open counting (``_sturm_grid``)."""
     if p.is_zero:
         raise DomainError("root counting of the zero polynomial")
-    p = square_free_part(p)
-    lo, hi = window.lo, window.hi
-    count = 0
-    # Deflate exact roots at the endpoints so Sturm's theorem applies cleanly.
-    while p.degree >= 1 and p(lo) == 0:
-        count += 1
-        p, _ = p.divmod_linear(lo)
-    if hi != lo:
-        while p.degree >= 1 and p(hi) == 0:
-            count += 1
-            p, _ = p.divmod_linear(hi)
-    if p.degree == 0 or lo == hi:
-        return count
-    seq = sturm_sequence(p)
-    v_lo = _variations([q(lo) for q in seq])
-    v_hi = _variations([q(hi) for q in seq])
-    return count + (v_lo - v_hi)
+    variations, _, b, den, v_lo = _sturm_grid(p, window)
+    return v_lo - variations(b, den)
 
 
 def sign_on_interval(p: Polynomial, window: ClosedInterval) -> Optional[int]:
@@ -185,26 +192,31 @@ def isolate_roots(
 ) -> list[ClosedInterval]:
     """Subintervals of ``window`` of width <= max_width, one per distinct
     root when roots are more than max_width apart, that together contain
-    every root of p in the window (neighbours may share an endpoint)."""
+    every root of p in the window (neighbours may share an endpoint); []
+    when there is none.
+
+    One Sturm chain per call, integer signs, half-open counting: ``den``
+    doubles at each level, so midpoints are grid ints, each evaluated once;
+    a segment holds the V(lo) - V(hi) roots in (lo, hi], so a root at a
+    midpoint is reported once, by the left half."""
     if p.is_zero:
         raise DomainError("cannot isolate roots of the zero polynomial")
+    if max_width <= 0:
+        raise DomainError(f"max_width must be positive, got {max_width}")
     out: list[ClosedInterval] = []
+    variations, a, b, den, v_lo = _sturm_grid(p, window)
 
-    def recurse(seg: ClosedInterval, q: Polynomial) -> None:
-        # q has the roots of p in seg, less the root at seg.lo when the left
-        # neighbour already reported it.
-        if count_roots(q, seg) == 0:
+    def split(a: int, b: int, den: int, v_a: int, v_b: int) -> None:
+        if v_a == v_b:
             return
-        if seg.length <= max_width:
-            out.append(seg)
+        if (b - a) * max_width.denominator <= max_width.numerator * den:
+            out.append(ClosedInterval(Fraction(a, den), Fraction(b, den)))
             return
-        mid = seg.midpoint
-        recurse(ClosedInterval(seg.lo, mid), q)
-        if q(mid) == 0:
-            q, _ = q.divmod_linear(mid)
-        recurse(ClosedInterval(mid, seg.hi), q)
+        v_m = variations(a + b, 2 * den)
+        split(2 * a, a + b, 2 * den, v_a, v_m)
+        split(a + b, 2 * b, 2 * den, v_m, v_b)
 
-    recurse(window, square_free_part(p))
+    split(a, b, den, v_lo, variations(b, den))
     return out
 
 
@@ -213,15 +225,15 @@ def range_bounds(p: Polynomial, window: ClosedInterval) -> ClosedInterval:
 
     Exact when the derivative of p does not vanish inside the window
     (extrema then sit at the endpoints); otherwise critical points are
-    isolated to width window.length / 2**32 and bounded by interval
+    isolated to width window.length / 2**32 by ``isolate_roots`` (one Sturm
+    chain of p', integer signs, half-open counting) and bounded by interval
     evaluation, giving a slightly outward but always correct answer.
     """
     candidates = [p(window.lo), p(window.hi)]
     if window.length > 0:
         dp = p.derivative()
-        if not dp.is_zero and count_roots(dp, window) > 0:
-            width = window.length / 2 ** 32
-            for seg in isolate_roots(dp, window, width):
+        if not dp.is_zero:
+            for seg in isolate_roots(dp, window, window.length / 2 ** 32):
                 enclosure = p.interval_eval(seg)
                 candidates.extend([enclosure.lo, enclosure.hi])
     return ClosedInterval(min(candidates), max(candidates))
@@ -308,30 +320,6 @@ def derivative_window(tau: RationalLike) -> DerivativeWindow:
     lower = max(tau / (tau + 1), 1 / tau)
     upper = min(tau, 1 + 1 / tau)
     return DerivativeWindow(lower, upper)
-
-
-def _integer_sign_evaluator(p: Polynomial, y: Fraction):
-    """sign((p - y)(num/den)) as pure integer arithmetic, den > 0.
-
-    Clearing denominators once lets the bisection loop below run on machine
-    integers (arbitrary precision, but without per-step gcd normalization),
-    which dominates its cost otherwise.
-    """
-    shifted = [p.coeffs[0] - y] + list(p.coeffs[1:])
-    scale = 1
-    for c in shifted:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in shifted]
-
-    def sign_at(num: int, den: int) -> int:
-        acc = ints[-1]
-        dpow = 1
-        for c in reversed(ints[:-1]):
-            dpow *= den
-            acc = acc * num + c * dpow
-        return (acc > 0) - (acc < 0)
-
-    return sign_at
 
 
 @dataclass(frozen=True)

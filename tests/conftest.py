@@ -18,6 +18,7 @@ from thickset import (
     random_thick,
 )
 from thickset.core import to_rational
+from thickset.functions import Polynomial, square_free_part, sturm_sequence
 
 
 def brute_local_thickness(stage: CantorStage, gap_index: int, side: str) -> Fraction:
@@ -205,3 +206,58 @@ def thin_below_family(depth: int) -> RefinableFamily:
 
     root = CantorStage((ClosedInterval(Fraction(0), Fraction(1)),))
     return RefinableFamily(root, refine, name="thin-below")
+
+
+def _deflate(p: Polynomial, root: Fraction) -> Polynomial:
+    """p / (t - root) by synthetic division, for a root of p."""
+    out = [p.coeffs[-1]]
+    for c in reversed(p.coeffs[:-1]):
+        out.append(c + out[-1] * root)
+    out.pop()
+    return Polynomial(tuple(reversed(out)))
+
+
+def naive_count_roots(p: Polynomial, window: ClosedInterval) -> int:
+    """Distinct roots of p in the closed window: endpoint roots deflated
+    one by one, then a fresh Sturm chain of what is left, evaluated on
+    Fractions at both ends."""
+    p = square_free_part(p)
+    lo, hi = window.lo, window.hi
+    count = 0
+    while p.degree >= 1 and p(lo) == 0:
+        count += 1
+        p = _deflate(p, lo)
+    if hi != lo:
+        while p.degree >= 1 and p(hi) == 0:
+            count += 1
+            p = _deflate(p, hi)
+    if p.degree == 0 or lo == hi:
+        return count
+
+    def variations(x):
+        signs = [1 if v > 0 else -1 for v in (q(x) for q in sturm_sequence(p)) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return count + variations(lo) - variations(hi)
+
+
+def naive_isolate_roots(p: Polynomial, window: ClosedInterval, max_width: Fraction):
+    """Root boxes by per-segment bisection: every segment counts its roots
+    afresh with ``naive_count_roots``, and a root at a midpoint is
+    deflated before the right half, so it is reported once."""
+    out = []
+
+    def recurse(seg: ClosedInterval, q: Polynomial) -> None:
+        if naive_count_roots(q, seg) == 0:
+            return
+        if seg.length <= max_width:
+            out.append(seg)
+            return
+        mid = seg.midpoint
+        recurse(ClosedInterval(seg.lo, mid), q)
+        if q(mid) == 0:
+            q = _deflate(q, mid)
+        recurse(ClosedInterval(mid, seg.hi), q)
+
+    recurse(window, square_free_part(p))
+    return out

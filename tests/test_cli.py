@@ -431,6 +431,23 @@ def test_refused_stage_files_are_exit_3(tmp_path, capsys, text, message):
         assert (code, out, err) == (3, "", message)
 
 
+@pytest.mark.parametrize("token, code, message", [
+    ("0", 0, ""), ("true", 3, "error: booleans are not accepted as coordinates: True\n"),
+], ids=["json-int", "json-true"])
+def test_a_construct_file_with_a_json_literal_first_endpoint(tmp_path, capsys, token, code, message):
+    """The JSON int 0 loads as the string "0" did; true is refused."""
+    written = tmp_path / "k.json"
+    assert run(["construct", "--random-thick", "3/2", "--depth", "9", "--seed", "7",
+                "--out", str(written)], capsys)[0] == 0
+    text = written.read_text()
+    assert '"0"' in text.split(",")[1]
+    edited = tmp_path / "edited.json"
+    edited.write_text(text.replace('"0"', token, 1))
+    expected = run(["thickness", str(written)], capsys)
+    got = run(["thickness", str(edited)], capsys)
+    assert got == ((0, expected[1], "") if code == 0 else (3, "", message))
+
+
 _LONG = "1" + "0" * 5000
 
 

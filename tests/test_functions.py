@@ -25,6 +25,8 @@ from thickset import (
 from thickset import functions
 from thickset.functions import count_roots, isolate_roots, range_bounds
 
+from conftest import naive_count_roots, naive_isolate_roots
+
 IDENTITY = FunctionSpec((F(1),))
 SQUARE = FunctionSpec((F(0), F(1)))
 GENTLE = FunctionSpec((F(1), F(1, 10)))  # t + t^2/10
@@ -291,6 +293,103 @@ def test_range_bounds_boxes_an_interior_critical_point():
     assert got.hi == F(7, 4)
     assert got.lo <= 1
     assert 1 - got.lo < F(1, 2 ** 20)
+
+
+def _poly(texts):
+    return Polynomial(tuple(F(c) for c in texts))
+
+
+def _window(lo, hi):
+    return ClosedInterval(F(lo), F(hi))
+
+
+# (coefficients from the constant term up, window, max_width) -> the exact
+# boxes, taken from the per-segment recursion before the one-chain form.
+ISOLATION_PINS = [
+    # (t - 1/2)(t - 3/4): the second root lies right of the midpoint root.
+    (["3/8", "-5/4", "1"], ("0", "1"), "1/4", [("1/4", "1/2"), ("1/2", "3/4")]),
+    # t(t - 1): a root at each window end.
+    (["0", "-1", "1"], ("0", "1"), "1/8", [("0", "1/8"), ("7/8", "1")]),
+    # (t + 1)**2 (t - 2/3): a double root at lo, a root at a non-dyadic hi.
+    (["-2/3", "-1/3", "4/3", "1"], ("-1", "2/3"), "1/16",
+     [("-1", "-91/96"), ("59/96", "2/3")]),
+    # (t - 1/3)(t - 1/2)(t - 2/3) on [1/3, 2/3]: both ends and the midpoint.
+    (["-1/9", "13/18", "-3/2", "1"], ("1/3", "2/3"), "1/100",
+     [("1/3", "65/192"), ("95/192", "1/2"), ("127/192", "2/3")]),
+    # t**3 - 2: one irrational root.
+    (["-2", "0", "0", "1"], ("1", "2"), "1/1024", [("645/512", "1291/1024")]),
+    # (t - 1/2)**3: a triple root at the first midpoint.
+    (["-1/8", "3/4", "-3/2", "1"], ("0", "1"), "1/2", [("0", "1/2")]),
+    # A point window on a root.
+    (["-5/7", "1"], ("5/7", "5/7"), "1/4", [("5/7", "5/7")]),
+]
+
+
+@pytest.mark.parametrize("coeffs, window, width, expected", ISOLATION_PINS)
+def test_isolate_roots_boxes_are_pinned(coeffs, window, width, expected):
+    boxes = isolate_roots(_poly(coeffs), _window(*window), F(width))
+    assert boxes == [_window(*b) for b in expected]
+    assert count_roots(_poly(coeffs), _window(*window)) == len(expected)
+
+
+# f = t + t**3/10: the boxes of radius tau*delta that ``_validate_delta``
+# meets for middle-alpha 1/5, 1/6, 1/7 and 2/11, and range_bounds of f' on
+# each; f'' = 3t/5 has its root at the box centre.
+CUBIC_SLOPE_PINS = [
+    ("1/4", "163/160", ("-1/8589934592", "0")),
+    ("5/16", "527/512", ("-5/34359738368", "0")),
+    ("3/8", "667/640", ("-3/17179869184", "0")),
+    ("3/16", "2587/2560", ("-3/34359738368", "0")),
+    ("9/32", "10483/10240", ("-9/68719476736", "0")),
+]
+
+
+@pytest.mark.parametrize("radius, upper, critical", CUBIC_SLOPE_PINS)
+def test_cubic_slope_gate_is_pinned(radius, upper, critical):
+    slope = FunctionSpec((F(1), F(0), F(1, 10))).polynomial().derivative()
+    box = _window("-" + radius, radius)
+    assert range_bounds(slope, box) == _window("1", upper)
+    assert isolate_roots(slope.derivative(), box, box.length / 2 ** 32) == [_window(*critical)]
+
+
+@pytest.mark.parametrize("coeffs, window, lower, upper", [
+    (["1", "0", "3"], ("-1/2", "1/4"), "147573952589676412925/147573952589676412928", "7/4"),
+    (["0", "-1", "0", "1"], ("-2", "2"), "-6", "6"),
+    (["1/4", "-1", "1"], ("0", "1"), "-1/8589934592", "1/4"),
+    (["1", "1/5"], ("0", "1"), "1", "6/5"),
+])
+def test_range_bounds_is_pinned(coeffs, window, lower, upper):
+    assert range_bounds(_poly(coeffs), _window(*window)) == _window(lower, upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_problems())
+def test_isolate_roots_matches_the_per_segment_recursion(problem):
+    p, window, max_width = problem
+    assert isolate_roots(p, window, max_width) == naive_isolate_roots(p, window, max_width)
+    assert count_roots(p, window) == naive_count_roots(p, window)
+
+
+def test_one_call_builds_one_sturm_chain(monkeypatch):
+    built = []
+    chain = functions.sturm_sequence
+    monkeypatch.setattr(functions, "sturm_sequence", lambda p: built.append(p) or chain(p))
+    cubic_slope = FunctionSpec((F(1), F(0), F(1, 10))).polynomial().derivative()
+    box = _window("-1/4", "1/4")
+    for call in (lambda: isolate_roots(cubic_slope.derivative(), box, box.length / 2 ** 32),
+                 lambda: range_bounds(cubic_slope, box),
+                 lambda: count_roots(cubic_slope.derivative(), box),
+                 lambda: isolate_roots(_poly(["-1/9", "13/18", "-3/2", "1"]),
+                                       _window("1/3", "2/3"), F(1, 100))):
+        built.clear()
+        call()
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("width", [F(0), F(-1, 4)])
+def test_isolate_roots_refuses_a_width_that_is_not_positive(width):
+    with pytest.raises(DomainError, match="max_width must be positive"):
+        isolate_roots(_poly(["-1/3", "1"]), _window("0", "1"), width)
 
 
 def test_function_spec_parse():

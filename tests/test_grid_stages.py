@@ -819,6 +819,30 @@ def test_a_large_file_with_one_respelled_token_loads_token_by_token(respell, at)
     assert stage_from_json(data) == loads_stage(_depth_9_file())
 
 
+@pytest.mark.parametrize("ends", [(0,), (0, 1)], ids=["first", "first-and-last"])
+def test_a_depth_9_file_with_json_int_endpoints_loads_on_the_screened_path(ends):
+    """A JSON int coordinate is read as its str: no Fraction is built and
+    the grid is the one the all-string file gives."""
+    data = json.loads(_depth_9_file())
+    pairs = data["intervals"]
+    for k, end in enumerate(ends):
+        pair = pairs[-k]
+        assert pair[k] == str(end)
+        pair[k] = end
+    text = json.dumps(data)
+    with _fraction_count() as calls:
+        stage = loads_stage(text)
+    assert calls == [0] and _is_lazy(stage)
+    assert stage._grid == loads_stage(_depth_9_file())._grid
+
+
+def test_a_depth_9_file_with_a_json_bool_endpoint_is_refused():
+    data = json.loads(_depth_9_file())
+    data["intervals"][0][0] = False
+    with pytest.raises(DomainError, match="booleans are not accepted as coordinates: False"):
+        loads_stage(json.dumps(data))
+
+
 def test_a_large_file_with_json_int_endpoints_loads_token_by_token():
     data = json.loads(_depth_9_file())
     pairs = data["intervals"]
