@@ -13,14 +13,11 @@ from .core import (
     ClosedInterval,
     Gap,
     GapBridgeReport,
-    Rational,
     ThicknessResult,
     affine_image,
     all_bridge_reports,
-    bounded_gaps,
     bridge_at,
     dumps_stage,
-    gaps,
     loads_stage,
     make_stage,
     restrict,
@@ -39,7 +36,6 @@ from .constructions import (
     counterexample_limit_ratio,
     counterexample_parts,
     counterexample_set,
-    make_counterexample_params,
     middle_alpha,
     middle_alpha_family,
     random_thick,
@@ -61,7 +57,6 @@ from .functions import (
     FunctionSpec,
     MonotoneBracket,
     Polynomial,
-    derivative,
     derivative_window,
     eval_function,
     monotone_inverse,

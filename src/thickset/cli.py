@@ -31,12 +31,12 @@ from typing import Iterable, Optional
 
 from . import render as render_mod
 from .constructions import (
+    CounterexampleParams,
     RandomThickSpec,
     StageFamily,
     counterexample_calibrate,
     counterexample_parts,
     counterexample_set,
-    make_counterexample_params,
     middle_alpha_family,
     random_thick_family,
 )
@@ -316,7 +316,7 @@ def _counterexample_params(args):
     if args.tol < 0:  # refused on both paths, although only calibration reads it
         raise DomainError("tol must be nonnegative")
     if args.c is not None:
-        return make_counterexample_params(args.tau, args.eps, args.c)
+        return CounterexampleParams(args.tau, args.eps, args.c)
     return counterexample_calibrate(args.tau, args.eps, args.tol)
 
 

@@ -85,12 +85,15 @@ class StageFamily:
         return self._refined(self._stages[depth - 1])
 
     def stages(self, first: int, last: int) -> list[CantorStage]:
+        _require_int("first", first, 0)
+        _require_int("last", last)
         return [self.stage(d) for d in range(first, last + 1)]
 
     def interval_chain(self, enclosure: ClosedInterval, max_depth: int) -> list[ClosedInterval]:
         """The unique stage interval containing ``enclosure``, per depth
         0..max_depth: refined as a one-interval stage by the family's step,
         if any, else read off whole stages.  DomainError where none holds it."""
+        _require_int("max_depth", max_depth, 0)
         step, stage = self._refined, self.stage(0)
         chain: list[ClosedInterval] = []
         for d in range(max_depth + 1):
@@ -408,12 +411,6 @@ class CounterexampleParams:
         return _proportions(self.tau)[1]
 
 
-def make_counterexample_params(
-    tau: RationalLike, eps: RationalLike, c: RationalLike
-) -> CounterexampleParams:
-    return CounterexampleParams(tau=tau, eps=eps, c=c)
-
-
 def counterexample_parts(params: CounterexampleParams) -> dict:
     """Named pieces of the counterexample set: intervals I1..I5, gaps G1..G4,
     and the proportions alpha, beta."""
@@ -525,7 +522,7 @@ def counterexample_calibrate(
     for k in range(1, _CALIBRATION_PROBES + 1):
         c = 1 - (1 - c_floor) / 2 ** k
         try:
-            params = make_counterexample_params(tau, eps, c)
+            params = CounterexampleParams(tau, eps, c)
             value = thickness(counterexample_set(params)).value
         except ConstructionError:
             continue

@@ -52,7 +52,6 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 # A stage's integer grid (den, lo, hi): interval k is [lo[k]/den, hi[k]/den].
 Grid = tuple[int, list[int], list[int]]
@@ -414,9 +413,6 @@ class CantorStage:
     def hull(self) -> ClosedInterval:
         return ClosedInterval(self.min, self.max)
 
-    def contains_point(self, x: Fraction) -> bool:
-        return self.interval_containing_point(x) is not None
-
     def _containing_index(self, piece: ClosedInterval) -> int:
         """Index of the interval containing ``piece`` entirely, or -1: one
         bisection on the grid for the first interval whose right end reaches
@@ -428,10 +424,6 @@ class CantorStage:
         if k < len(lo) and lo[k] * pd <= pn * den and qn * den <= hi[k] * qd:
             return k
         return -1
-
-    def interval_containing_point(self, x: Fraction) -> Optional[ClosedInterval]:
-        """The interval containing x, if any."""
-        return self.interval_containing(_trusted_interval(x, x))
 
     def interval_containing(self, piece: ClosedInterval) -> Optional[ClosedInterval]:
         """The stage interval containing ``piece`` entirely, if any."""
@@ -454,24 +446,6 @@ def make_stage(
 # ---------------------------------------------------------------------------
 # Gaps and bridges
 # ---------------------------------------------------------------------------
-
-def gaps(stage: CantorStage) -> list[Gap]:
-    """All gaps of the stage: the left-unbounded one, the bounded ones in
-    increasing order, then the right-unbounded one.
-
-    The number of bounded gaps is always ``stage.count - 1``.
-    """
-    result: list[Gap] = [Gap(None, stage.min, LEFT_UNBOUNDED)]
-    result.extend(bounded_gaps(stage))
-    result.append(Gap(stage.max, None, RIGHT_UNBOUNDED))
-    return result
-
-
-def bounded_gaps(stage: CantorStage) -> list[Gap]:
-    """The bounded gaps in increasing order."""
-    ivs = stage.intervals
-    return [Gap(a.hi, b.lo, BOUNDED) for a, b in zip(ivs, ivs[1:])]
-
 
 @dataclass(frozen=True)
 class GapBridgeReport:

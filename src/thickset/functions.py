@@ -292,12 +292,6 @@ def eval_function(f: FunctionSpec, t: RationalLike) -> Fraction:
     return f.polynomial()(t)
 
 
-def derivative(f: FunctionSpec) -> Polynomial:
-    """Exact formal derivative of f, as a general polynomial (it does have a
-    constant term: the slope at zero)."""
-    return f.polynomial().derivative()
-
-
 @dataclass(frozen=True)
 class DerivativeWindow:
     """The open slope window (max(tau/(tau+1), 1/tau), min(tau, 1+1/tau))

@@ -191,16 +191,17 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
 
 
 class GapLemmaViolation(InternalContradictionError):
-    """Raised when stages satisfying the gap-lemma hypotheses at every depth
-    nevertheless have an empty intersection at some depth.  Under the lemma
-    this cannot happen; it signals a bug (or an undetected hypothesis
-    violation) and carries a machine-readable report."""
+    """Raised when two stage sequences have an empty intersection at some
+    depth, with the verdict of the gap-lemma hypotheses there.  Where the
+    hypotheses hold this contradicts the lemma and signals a bug; unchecked
+    stages may fail them, and the message then names the verdict's reasons.
+    Carries a machine-readable report."""
 
     def __init__(self, depth: int, verdict: GapLemmaVerdict):
-        super().__init__(
-            f"empty stage intersection at depth {depth} although the gap-lemma "
-            f"hypotheses hold there; this contradicts the gap lemma"
-        )
+        why = (" although the gap-lemma hypotheses hold there; this contradicts the gap lemma"
+               if verdict.applies
+               else ", where the gap-lemma hypotheses fail: " + "; ".join(verdict.reasons))
+        super().__init__(f"empty stage intersection at depth {depth}{why}")
         self.depth = depth
         self.verdict = verdict
 
@@ -244,16 +245,14 @@ def persistent_intersect(
     witnesses: list[IntersectionWitness] = []
     for s1, s2 in zip(k1_stages, k2_stages):
         verdict = check_hypotheses(s1, s2) if check else None
-        if check and verdict is not None and not verdict.applies:
+        if verdict is not None and not verdict.applies:
             raise HypothesisError(
                 f"gap-lemma hypotheses fail at depth {s1.depth}: "
                 + "; ".join(verdict.reasons)
             )
         w = intersect(s1, s2)
         if w is None:
-            if verdict is None:
-                verdict = check_hypotheses(s1, s2)
-            raise GapLemmaViolation(max(s1.depth, s2.depth), verdict)
+            raise GapLemmaViolation(max(s1.depth, s2.depth), verdict or check_hypotheses(s1, s2))
         witnesses.append(w)
 
     # Choose the deepest link first (widest interval for robustness), then

@@ -171,7 +171,7 @@ def subset_extract(
     delta = to_rational(delta)
     if delta <= 0:
         raise DomainError("delta must be positive")
-
+    _require_int("max_scan_depth", max_scan_depth, 1)
     dn, dd = delta.as_integer_ratio()
     found = None
     for depth in range(1, max_scan_depth + 1):
@@ -339,6 +339,7 @@ def _witness(stages: list[CantorStage], x: Fraction,
 def thickness_floor(family: StageFamily, max_depth: int) -> Fraction:
     """Minimum exact thickness of the family's stages at depths 1..max_depth,
     the value the search hypotheses are gated on."""
+    _require_int("max_depth", max_depth, 1)
     values = []
     for d in range(1, max_depth + 1):
         stage = family.stage(d)
@@ -521,8 +522,8 @@ def find_config(
             delta = delta / 2
     raise PrecisionError(
         f"no delta down to {delta} satisfied the derivative and image-thickness "
-        f"conditions" + (f"; last failure: {last_error}" if last_error else ""),
-        retry_hint="supply a smaller cfg.delta or a tamer function",
+        f"conditions" + (f"; last failure: {last_error}" if last_error else "")
+        + " (supply a smaller cfg.delta or a tamer function)"
     )
 
 

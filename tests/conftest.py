@@ -12,12 +12,12 @@ from thickset import (
     CantorStage,
     ClosedInterval,
     DomainError,
+    Gap,
     RandomThickSpec,
     RefinableFamily,
-    gaps,
     random_thick,
 )
-from thickset.core import to_rational
+from thickset.core import LEFT_UNBOUNDED, RIGHT_UNBOUNDED, to_rational
 from thickset.functions import Polynomial, square_free_part, sturm_sequence
 
 
@@ -141,6 +141,19 @@ def probe_points(*stages: CantorStage) -> list[Fraction]:
     ends = sorted({x for s in stages for iv in s.intervals for x in (iv.lo, iv.hi)})
     mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
     return ends + mids + [ends[0] - 1, ends[-1] + 1]
+
+
+def bounded_gaps(stage: CantorStage) -> list[Gap]:
+    """The bounded gaps in increasing order, read off consecutive intervals."""
+    ivs = stage.intervals
+    return [Gap(a.hi, b.lo) for a, b in zip(ivs, ivs[1:])]
+
+
+def gaps(stage: CantorStage) -> list[Gap]:
+    """All gaps: the left-unbounded one, the bounded ones in increasing
+    order, then the right-unbounded one."""
+    return [Gap(None, stage.min, LEFT_UNBOUNDED), *bounded_gaps(stage),
+            Gap(stage.max, None, RIGHT_UNBOUNDED)]
 
 
 def brute_containing_gap(host: CantorStage, other: CantorStage):

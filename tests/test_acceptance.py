@@ -14,6 +14,7 @@ import pytest
 from thickset import (
     AffineFamily,
     ClosedInterval,
+    CounterexampleParams,
     FunctionSpec,
     HypothesisError,
     RandomThickSpec,
@@ -25,7 +26,6 @@ from thickset import (
     derivative_window,
     find_3ap,
     find_config,
-    make_counterexample_params,
     middle_alpha_family,
     persistent_intersect,
     random_thick,
@@ -177,7 +177,7 @@ def test_criterion_7_counterexample():
         }
         rel_errors = {name: [] for name in limits}
         for c in (F(9, 10), F(99, 100), F(999, 1000)):
-            parts = counterexample_parts(make_counterexample_params(F(1), eps, c))
+            parts = counterexample_parts(CounterexampleParams(F(1), eps, c))
             assert parts["I1"].length == eps / 3
             assert parts["G1"].length == eps / 3
             assert parts["I2"].length == eps / 3

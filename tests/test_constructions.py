@@ -16,16 +16,15 @@ from thickset import (
     CantorStage,
     ClosedInterval,
     ConstructionError,
+    CounterexampleParams,
     DomainError,
     RandomThickSpec,
     RefinableFamily,
     RestrictedFamily,
-    bounded_gaps,
     counterexample_calibrate,
     counterexample_limit_ratio,
     counterexample_parts,
     counterexample_set,
-    make_counterexample_params,
     middle_alpha,
     middle_alpha_family,
     random_thick,
@@ -36,6 +35,7 @@ from thickset import (
 from thickset import core
 from thickset.core import stage_to_json
 from conftest import (
+    bounded_gaps,
     brute_thickness,
     naive_middle_alpha_children,
     naive_random_thick_children,
@@ -110,7 +110,7 @@ def test_middle_alpha_validates_input():
 # ---------------------------------------------------------------------------
 
 def test_counterexample_five_intervals_and_largest_gap():
-    params = make_counterexample_params(F(101, 100), EPS, F(99, 100))
+    params = CounterexampleParams(F(101, 100), EPS, F(99, 100))
     stage = counterexample_set(params)
     assert stage.count == 5
     parts = counterexample_parts(params)
@@ -125,7 +125,7 @@ def test_counterexample_constant_rows_are_exact():
     # The eps-scale pieces do not depend on c at all: both flanks and the
     # first gap have length tau*beta*eps = tau*alpha*eps = eps/3 at tau = 1.
     for c in FROZEN_TAU1:
-        parts = counterexample_parts(make_counterexample_params(F(1), EPS, c))
+        parts = counterexample_parts(CounterexampleParams(F(1), EPS, c))
         assert part_length(parts, "I1") == EPS / 3
         assert part_length(parts, "G1") == EPS / 3
         assert part_length(parts, "I2") == EPS / 3
@@ -134,7 +134,7 @@ def test_counterexample_constant_rows_are_exact():
 
 def test_counterexample_c_dependent_rows_match_frozen_values():
     for c, expected in FROZEN_TAU1.items():
-        parts = counterexample_parts(make_counterexample_params(F(1), EPS, c))
+        parts = counterexample_parts(CounterexampleParams(F(1), EPS, c))
         for name, value in expected.items():
             assert part_length(parts, name) == value
 
@@ -142,7 +142,7 @@ def test_counterexample_c_dependent_rows_match_frozen_values():
 def test_counterexample_lengths_approach_limits_monotonically():
     errors = {name: [] for name in LIMITS_TAU1}
     for c in (F(9, 10), F(99, 100), F(999, 1000)):
-        parts = counterexample_parts(make_counterexample_params(F(1), EPS, c))
+        parts = counterexample_parts(CounterexampleParams(F(1), EPS, c))
         for name, limit in LIMITS_TAU1.items():
             errors[name].append(abs(part_length(parts, name) - limit))
     for name, errs in errors.items():
@@ -152,21 +152,21 @@ def test_counterexample_lengths_approach_limits_monotonically():
 def test_counterexample_order_violations_named():
     # c below (1 + beta*tau)/(1 + beta*tau + alpha*tau) empties I4.
     with pytest.raises(ConstructionError, match="I4"):
-        counterexample_set(make_counterexample_params(F(1), EPS, F(1, 2)))
+        counterexample_set(CounterexampleParams(F(1), EPS, F(1, 2)))
     # eps = 1/2 empties I5 for every admissible c.
     with pytest.raises(ConstructionError, match="I5"):
-        counterexample_set(make_counterexample_params(F(101, 100), F(1, 2), F(99, 100)))
+        counterexample_set(CounterexampleParams(F(101, 100), F(1, 2), F(99, 100)))
 
 
 def test_counterexample_params_validation():
     with pytest.raises(DomainError):
-        make_counterexample_params(F(9, 10), EPS, F(99, 100))  # tau < 1
+        CounterexampleParams(F(9, 10), EPS, F(99, 100))  # tau < 1
     with pytest.raises(DomainError, match="tau must be at least 1"):
-        make_counterexample_params(F(-1, 2), EPS, F(1, 2))  # 2 tau + 1 = 0
+        CounterexampleParams(F(-1, 2), EPS, F(1, 2))  # 2 tau + 1 = 0
     with pytest.raises(DomainError):
-        make_counterexample_params(F(101, 100), F(0), F(99, 100))
+        CounterexampleParams(F(101, 100), F(0), F(99, 100))
     with pytest.raises(DomainError):
-        make_counterexample_params(F(101, 100), EPS, F(1))
+        CounterexampleParams(F(101, 100), EPS, F(1))
 
 
 def test_counterexample_right_bridge_of_largest_gap_spans_all_small_pieces():
@@ -174,7 +174,7 @@ def test_counterexample_right_bridge_of_largest_gap_spans_all_small_pieces():
     # far end of the set: [0, tau*eps].
     from thickset import bridge_at
 
-    params = make_counterexample_params(F(101, 100), EPS, F(99, 100))
+    params = CounterexampleParams(F(101, 100), EPS, F(99, 100))
     stage = counterexample_set(params)
     parts = counterexample_parts(params)
     report = bridge_at(stage, F(0), "right")
@@ -188,7 +188,7 @@ def test_counterexample_right_bridge_of_largest_gap_spans_all_small_pieces():
 
 def test_counterexample_square_avoidance_endpoints():
     for tau, c in ((F(1), F(99, 100)), (F(101, 100), F(999, 1000))):
-        parts = counterexample_parts(make_counterexample_params(tau, EPS, c))
+        parts = counterexample_parts(CounterexampleParams(tau, EPS, c))
         i1, i2, g3, g4 = parts["I1"], parts["I2"], parts["G3"], parts["G4"]
         # Reflect through zero and square; monotone on positives.
         assert g4.lo < i1.hi ** 2 and i1.lo ** 2 < g4.hi

@@ -21,11 +21,9 @@ from thickset import (
     SearchConfig,
     affine_image,
     all_bridge_reports,
-    bounded_gaps,
     bridge_at,
     dumps_stage,
     find_3ap,
-    gaps,
     intersect,
     loads_stage,
     make_stage,
@@ -44,10 +42,14 @@ from thickset.core import (
     rational_str,
     to_rational,
 )
+from thickset.errors import InsufficientDepthError
+from thickset.search import subset_extract, thickness_floor
 from conftest import (
+    bounded_gaps,
     brute_bridge_ends,
     brute_local_thickness,
     brute_thickness,
+    gaps,
     nesting_problem,
     random_stage,
     stage_problem,
@@ -705,6 +707,44 @@ def test_bool_and_float_depths_and_seeds_are_refused(entry, value):
     name, call = _INT_ENTRIES[entry]
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
         call(value)
+
+
+_POINT = ClosedInterval(F(0), F(0))
+_DEPTH_ENTRIES = {  # name in the message, least accepted value, call
+    "StageFamily.stages.first": ("first", 0, lambda v: middle_alpha_family(F(1, 3)).stages(v, 2)),
+    "StageFamily.stages.last": ("last", None, lambda v: middle_alpha_family(F(1, 3)).stages(0, v)),
+    "StageFamily.interval_chain": (
+        "max_depth", 0, lambda v: middle_alpha_family(F(1, 3)).interval_chain(_POINT, v)),
+    "thickness_floor": ("max_depth", 1, lambda v: thickness_floor(middle_alpha_family(F(1, 3)), v)),
+    "subset_extract.max_scan_depth": (
+        "max_scan_depth", 1,
+        lambda v: subset_extract(middle_alpha_family(F(1, 3)), F(1, 10), max_scan_depth=v)),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (_, least, _) in _DEPTH_ENTRIES.items()
+    for value in (True, False, 2.0, 2.5) + (() if least is None else (least - 1,))
+])
+def test_depth_arguments_are_refused_unless_ints_at_their_least(entry, value):
+    name, least, call = _DEPTH_ENTRIES[entry]
+    if type(value) is not int:
+        match = f"^{name} must be an integer, got {value!r}$"
+    else:
+        match = f"^{name} must be {f'at least {least}' if least else 'nonnegative'}$"
+    with pytest.raises(DomainError, match=match):
+        call(value)
+
+
+def test_depth_arguments_at_their_least_are_accepted():
+    fam = middle_alpha_family(F(1, 3))
+    assert fam.stages(3, 1) == [] and fam.stages(0, -1) == []
+    assert len(fam.stages(0, 0)) == 1
+    assert fam.interval_chain(_POINT, 0) == [_UNIT[0]]
+    assert thickness_floor(fam, 1) == 1
+    # Depth 1 has one gap, so a scan there finds no shorter one.
+    with pytest.raises(InsufficientDepthError, match="up to depth 1 "):
+        subset_extract(fam, F(1, 10), max_scan_depth=1)
 
 
 @settings(max_examples=300, deadline=None)

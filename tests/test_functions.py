@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from thickset import (
     CertifiedValue,
     ClosedInterval,
+    CounterexampleParams,
     DomainError,
     FunctionSpec,
     MonotoneBracket,
     Polynomial,
     RangeError,
     counterexample_parts,
-    derivative,
     derivative_window,
     eval_function,
-    make_counterexample_params,
     monotone_inverse,
 )
 from thickset import functions
@@ -41,7 +40,7 @@ def test_eval_gentle():
 
 
 def test_eval_square_reproduces_counterexample_endpoint_squares():
-    params = make_counterexample_params(F(1), F(1, 1000), F(99, 100))
+    params = CounterexampleParams(F(1), F(1, 1000), F(99, 100))
     parts = counterexample_parts(params)
     # Squaring the inner reflected flank endpoint lands exactly c times the
     # far endpoint of the gap right of I3; the c < 1 slack is what makes the
@@ -53,11 +52,11 @@ def test_eval_square_reproduces_counterexample_endpoint_squares():
 
 
 def test_derivative_examples():
-    assert derivative(IDENTITY).coeffs == (F(1),)
-    d_square = derivative(SQUARE)
+    assert IDENTITY.polynomial().derivative().coeffs == (F(1),)
+    d_square = SQUARE.polynomial().derivative()
     assert d_square.coeffs == (F(0), F(2))
     assert d_square(F(0)) == 0
-    d_gentle = derivative(GENTLE)
+    d_gentle = GENTLE.polynomial().derivative()
     assert d_gentle.coeffs == (F(1), F(1, 5))
     assert d_gentle(F(0)) == GENTLE.slope_at_zero
 
@@ -68,7 +67,7 @@ def test_derivative_matches_central_differences():
     rng = random.Random(7)
     f = FunctionSpec((F(2, 3), F(-1, 4), F(0), F(1, 7)))
     p = f.polynomial()
-    dp = derivative(f)
+    dp = p.derivative()
     for _ in range(1000):
         x = F(rng.randint(-50, 50), rng.randint(1, 40))
         h = F(1, rng.randint(100, 10000))

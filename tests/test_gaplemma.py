@@ -117,9 +117,8 @@ def test_3ap_style_reflected_intersection_on_middle_thirds():
     assert any(iv.contains_point(F(1, 3)) for iv in w.common.intervals)
     for t in (F(1, 3),):
         base = middle_alpha(F(1, 3), 3)
-        assert base.contains_point(F(2, 3) - t)
-        assert base.contains_point(F(2, 3))
-        assert base.contains_point(F(2, 3) + t)
+        for x in (F(2, 3) - t, F(2, 3), F(2, 3) + t):
+            assert base.interval_containing(ClosedInterval(x, x)) is not None
 
 
 def test_persistent_intersect_equal_families():
@@ -129,7 +128,8 @@ def test_persistent_intersect_equal_families():
     assert len(w.chain) == 10
     for deeper, coarser in zip(w.chain[1:], w.chain):
         assert coarser.contains_interval(deeper)
-    assert w.common.contains_point(w.sample_point)
+    point = ClosedInterval(w.sample_point, w.sample_point)
+    assert w.common.interval_containing(point) is not None
 
 
 def test_persistent_intersect_reflection_pair():
@@ -159,6 +159,17 @@ def test_persistent_intersect_reports_empty_depth():
     assert err.value.depth == 1
     assert not err.value.verdict.product_ok
     assert err.value.report()["depth"] == 1
+    assert str(err.value) == ("empty stage intersection at depth 1, where the gap-lemma "
+                              "hypotheses fail: thickness product 1/2 * 1/2 = 1/4 < 1")
+
+
+def test_gap_lemma_violation_says_the_hypotheses_hold_only_when_they_do():
+    stage = middle_alpha_family(F(1, 3)).stage(2)
+    verdict = check_hypotheses(stage, stage)
+    assert verdict.applies
+    assert str(GapLemmaViolation(2, verdict)) == (
+        "empty stage intersection at depth 2 although the gap-lemma hypotheses hold "
+        "there; this contradicts the gap lemma")
 
 
 def test_persistent_intersect_validates_refinement_chains():

@@ -22,7 +22,6 @@ from thickset import (
     RandomThickSpec,
     RestrictedFamily,
     affine_image,
-    bounded_gaps,
     bridge_at,
     check_hypotheses,
     dumps_stage,
@@ -40,6 +39,7 @@ from thickset.functions import Polynomial, sign_on_interval
 from thickset.render import render_stage_svg
 from thickset.search import largest_gap_frame, subset_extract
 from conftest import (
+    bounded_gaps,
     brute_thickness,
     fraction_stage_from_json,
     naive_middle_alpha_children,
@@ -585,8 +585,6 @@ def test_sparse_reads_match_a_scan_before_intervals_are_built(stage, picks):
     for lo, hi in [(x, x) for x in points] + spans:
         piece = ClosedInterval(lo, hi)
         assert stage.interval_containing(piece) == _scan_containing(ivs, piece)
-        if lo == hi:
-            assert stage.interval_containing_point(lo) == _scan_containing(ivs, piece)
     if stage.count >= 2:
         result = thickness(stage)
         assert result == thickness(eager)

@@ -14,6 +14,7 @@ from thickset import (
     ClosedInterval,
     ConfigWitness,
     ConstructionError,
+    CounterexampleParams,
     DomainError,
     FunctionSpec,
     HypothesisError,
@@ -28,7 +29,6 @@ from thickset import (
     find_3ap,
     find_config,
     largest_gap_frame,
-    make_counterexample_params,
     make_stage,
     middle_alpha,
     middle_alpha_family,
@@ -84,7 +84,7 @@ def test_frame_middle_thirds():
 
 
 def test_frame_counterexample_set():
-    params = make_counterexample_params(F(101, 100), F(1, 1000), F(99, 100))
+    params = CounterexampleParams(F(101, 100), F(1, 1000), F(99, 100))
     frame = largest_gap_frame(
         CantorStage(tuple(counterexample_parts(params)[k] for k in ("I1", "I2", "I3", "I4", "I5")))
     )
@@ -704,7 +704,7 @@ def test_verify_counterexample_calibrated_passes():
 def test_verify_counterexample_large_eps_fails_left_anchor_check():
     # tau^3 > (1+tau)^2 makes room for a valid construction whose top point
     # squares above eps: the left-anchor check must fail, nothing else blows.
-    params = make_counterexample_params(F(11, 5), F(21, 100), F(99, 100))
+    params = CounterexampleParams(F(11, 5), F(21, 100), F(99, 100))
     report = verify_counterexample(params)
     failed = {name for name, ok, _ in report.checks if not ok}
     assert "max_point_square_below_largest_gap" in failed
@@ -712,11 +712,11 @@ def test_verify_counterexample_large_eps_fails_left_anchor_check():
 
 def test_verify_counterexample_eps_half_is_a_construction_error():
     with pytest.raises(ConstructionError):
-        verify_counterexample(make_counterexample_params(F(101, 100), F(1, 2), F(99, 100)))
+        verify_counterexample(CounterexampleParams(F(101, 100), F(1, 2), F(99, 100)))
 
 
 def test_verify_counterexample_refuses_a_negative_tol_as_calibration_does():
-    params = make_counterexample_params(F(101, 100), F(1, 1000), F(99, 100))
+    params = CounterexampleParams(F(101, 100), F(1, 1000), F(99, 100))
     for refuse in (lambda tol: verify_counterexample(params, thickness_tol=tol),
                    lambda tol: counterexample_calibrate(F(101, 100), F(1, 1000), tol)):
         with pytest.raises(DomainError, match="^tol must be nonnegative$"):
@@ -978,3 +978,38 @@ def test_searches_walk_each_witness_chain_once_and_never_replay(make, monkeypatc
         for chain, enc in zip(w.chains, w.point_enclosures()):
             assert list(chain) == family.interval_chain(enc, w.depth)
         walks.clear()
+
+
+# ---------------------------------------------------------------------------
+# Exact gates at their equality cases, with the other side of each
+# ---------------------------------------------------------------------------
+
+def test_a_witness_with_t_zero_is_refused_and_one_just_above_passes_the_gate():
+    zero, tiny = ClosedInterval(F(0), F(0)), ClosedInterval(F(1, 10 ** 30), F(1, 10 ** 30))
+    with pytest.raises(DomainError, match="^nondegeneracy requires t > 0, got enclosure 0$"):
+        ConfigWitness(x=F(1, 2), t=zero, ft=zero, depth=0, chains=())
+    # Past the t > 0 gate, the next check refuses the empty chains.
+    with pytest.raises(DomainError, match="^a witness carries exactly three chains$"):
+        ConfigWitness(x=F(1, 2), t=tiny, ft=tiny, depth=0, chains=())
+
+
+def test_find_config_accepts_rho_at_one_over_tau_and_refuses_just_below():
+    fam = middle_alpha_family(F(1, 5))  # thickness 2
+    identity = FunctionSpec((F(1),))
+    res = find_config(fam, identity, SearchConfig(rho=F(1, 2), max_depth=6))
+    assert res.rho_tau == 1
+    assert verify_witness(fam, res.witness, identity)["ok"]
+    with pytest.raises(DomainError, match=r"rho\*tau >= 1$"):
+        find_config(fam, identity, SearchConfig(rho=F(1, 2) - F(1, 10 ** 9), max_depth=6))
+
+
+@pytest.mark.parametrize("slope, lower, upper", [
+    (F(1, 2), False, True),  # g' = 1/tau
+    (F(1, 2) + F(1, 10 ** 9), True, True),
+    (F(3, 2) - F(1, 10 ** 9), True, True),
+    (F(3, 2), True, False),  # g' = 1 + 1/tau
+], ids=["at-lower", "above-lower", "below-upper", "at-upper"])
+def test_mvt_derivative_window_is_open_at_both_ends(slope, lower, upper):
+    report = verify_mvt_bounds(F(1, 10), 1, F(3, 10), 2, FunctionSpec((slope,)))
+    assert report.hypotheses["derivative_window_lower"] is lower
+    assert report.hypotheses["derivative_window_upper"] is upper
