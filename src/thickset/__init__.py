@@ -62,6 +62,7 @@ from .functions import (
     monotone_inverse,
 )
 from .gaplemma import (
+    GapLemmaInapplicable,
     GapLemmaVerdict,
     GapLemmaViolation,
     IntersectionWitness,

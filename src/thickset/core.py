@@ -347,6 +347,23 @@ class CantorStage:
         den, lo, hi = self._grid
         return _trusted_interval(Fraction(lo[k], den), Fraction(hi[k], den))
 
+    def _lo(self, k: int) -> Fraction:
+        """The left end of interval k, built from the grid alone unless
+        ``intervals`` is: a caller that reads one end builds one Fraction."""
+        ivs = self.__dict__.get("intervals")
+        if ivs is not None:
+            return ivs[k].lo
+        den, lo, _ = self._grid
+        return Fraction(lo[k], den)
+
+    def _hi(self, k: int) -> Fraction:
+        """The right end of interval k, as ``_lo`` builds the left."""
+        ivs = self.__dict__.get("intervals")
+        if ivs is not None:
+            return ivs[k].hi
+        den, _, hi = self._grid
+        return Fraction(hi[k], den)
+
     def _validate(self) -> None:
         """The stage checks, on the grid's ints: nonempty, each interval in
         order, disjoint and increasing, no zero length unless degenerate
@@ -404,11 +421,11 @@ class CantorStage:
 
     @property
     def min(self) -> Fraction:
-        return self._interval(0).lo
+        return self._lo(0)
 
     @property
     def max(self) -> Fraction:
-        return self._interval(-1).hi
+        return self._hi(-1)
 
     def hull(self) -> ClosedInterval:
         return ClosedInterval(self.min, self.max)
@@ -530,18 +547,20 @@ def _bridge_rows(stage: CantorStage) -> list[BridgeRow]:
                         (i, RIGHT, i + 1, last, hi[last] - lo[i + 1], g))]
 
 
-def _bridge_report(interval, row: BridgeRow) -> GapBridgeReport:
-    """The report of one bridge row; ``interval(k)`` is the stage's interval
-    k.  The grid fixed every order, so no constructor re-checks it."""
+def _bridge_report(stage: CantorStage, row: BridgeRow) -> GapBridgeReport:
+    """The report of one bridge row of ``stage``.  It reads three endpoints,
+    the gap's two and the bridge's far end, and builds from the grid only
+    those ``intervals`` does not hold: three Fractions and the local
+    thickness on a grid-built stage.  The grid fixed every order, so no
+    constructor re-checks it."""
     i, side, first, last, bridge_len, gap_len = row
-    gap = _trusted(Gap, lo=interval(i).hi, hi=interval(i + 1).lo, kind=BOUNDED)
+    a, b = stage._hi(i), stage._lo(i + 1)
     if side == LEFT:
-        endpoint = gap.lo
-        bridge = _trusted_interval(interval(first).lo, endpoint)
+        endpoint, bridge = a, _trusted_interval(stage._lo(first), a)
     else:
-        endpoint = gap.hi
-        bridge = _trusted_interval(endpoint, interval(last).hi)
-    return _trusted(GapBridgeReport, endpoint=endpoint, side=side, gap=gap, bridge=bridge,
+        endpoint, bridge = b, _trusted_interval(b, stage._hi(last))
+    return _trusted(GapBridgeReport, endpoint=endpoint, side=side,
+                    gap=_trusted(Gap, lo=a, hi=b, kind=BOUNDED), bridge=bridge,
                     local_thickness=Fraction(bridge_len, gap_len))
 
 
@@ -567,13 +586,13 @@ def bridge_at(stage: CantorStage, endpoint: RationalLike, side: str) -> GapBridg
         raise DomainError(
             f"{endpoint} is not the {side} endpoint of any bounded gap of the stage"
         )
-    return _bridge_report(stage._interval, _bridge_row(lo, hi, _bridge_ends(lo, hi), i, side))
+    return _bridge_report(stage, _bridge_row(lo, hi, _bridge_ends(lo, hi), i, side))
 
 
 def all_bridge_reports(stage: CantorStage) -> list[GapBridgeReport]:
     """Reports for both sides of every bounded gap, left to right."""
-    interval = stage.intervals.__getitem__  # every endpoint is read: build them once
-    return [_bridge_report(interval, row) for row in _bridge_rows(stage)]
+    stage.intervals  # every endpoint is read: build them once
+    return [_bridge_report(stage, row) for row in _bridge_rows(stage)]
 
 
 # The frame of the ``bridges`` payload and one report in it, each text a
@@ -633,7 +652,7 @@ def thickness(stage: CantorStage) -> ThicknessResult:
         b, side = (left, LEFT) if left <= right else (right, RIGHT)
         if b * best_gap < best_len * g:
             best_len, best_gap, best = b, g, (i, side)
-    argmin = _bridge_report(stage._interval, _bridge_row(lo, hi, ends, *best))
+    argmin = _bridge_report(stage, _bridge_row(lo, hi, ends, *best))
     return ThicknessResult(argmin.local_thickness, argmin)
 
 

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 from .core import (
@@ -100,7 +101,8 @@ def check_hypotheses(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
     try:
         tau1 = thickness(k1).value
         tau2 = thickness(k2).value
-        product_ok = tau1 * tau2 >= 1
+        (n1, d1), (n2, d2) = tau1.as_integer_ratio(), tau2.as_integer_ratio()
+        product_ok = n1 * n2 >= d1 * d2
         if not product_ok:
             reasons.append(
                 f"thickness product {tau1} * {tau2} = {tau1 * tau2} < 1"
@@ -147,14 +149,11 @@ class IntersectionWitness:
         }
 
 
-def _widest(stage: CantorStage) -> ClosedInterval:
-    """The first of the stage's widest intervals, compared on its grid."""
+def _widest(stage: CantorStage) -> int:
+    """Index of the first of the stage's widest intervals, on its grid."""
     _, lo, hi = stage._grid
-    best = 0
-    for k in range(1, len(lo)):
-        if hi[k] - lo[k] > hi[best] - lo[best]:
-            best = k
-    return stage._interval(best)
+    widths = list(map(sub, hi, lo))
+    return widths.index(max(widths))
 
 
 def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]:
@@ -164,38 +163,49 @@ def intersect(k1: CantorStage, k2: CantorStage) -> Optional[IntersectionWitness]
     interval: stages overapproximate their limit sets, so a nonempty stage
     intersection is necessary evidence, not sufficient (see
     ``persistent_intersect`` for the refinement-chain version).  The merge
-    compares the two grids over one denominator, and the common stage is
-    built on the merge's own grid ints.
+    compares the two grids over one denominator, reading each endpoint once,
+    and the common stage is built on the merge's own grid ints.  The sample
+    point, the midpoint of the first widest common interval, is the one
+    Fraction built: ``Fraction(lo + hi, 2 * den)`` on the grid.
     """
     den = math.lcm(k1._grid[0], k2._grid[0])
     alo, ahi = k1._grid_over(den)
     blo, bhi = k2._grid_over(den)
     starts: list[int] = []
     ends: list[int] = []
+    n, m = len(alo), len(blo)
     i = j = 0
-    while i < len(alo) and j < len(blo):
-        start = max(alo[i], blo[j])
-        if ahi[i] < bhi[j]:
-            end = ahi[i]
+    a, x = alo[0], ahi[0]
+    b, y = blo[0], bhi[0]
+    while True:
+        start = a if a > b else b
+        if x < y:
+            if start <= x:
+                starts.append(start)
+                ends.append(x)
             i += 1
+            if i == n:
+                break
+            a, x = alo[i], ahi[i]
         else:
-            end = bhi[j]
+            if start <= y:
+                starts.append(start)
+                ends.append(y)
             j += 1
-        if start <= end:
-            starts.append(start)
-            ends.append(end)
+            if j == m:
+                break
+            b, y = blo[j], bhi[j]
     if not starts:
         return None
     common = CantorStage._from_grid((den, starts, ends), max(k1.depth, k2.depth), True)
-    return IntersectionWitness(common=common, sample_point=_widest(common).midpoint)
+    k = _widest(common)
+    return IntersectionWitness(common=common, sample_point=Fraction(starts[k] + ends[k], 2 * den))
 
 
-class GapLemmaViolation(InternalContradictionError):
-    """Raised when two stage sequences have an empty intersection at some
-    depth, with the verdict of the gap-lemma hypotheses there.  Where the
-    hypotheses hold this contradicts the lemma and signals a bug; unchecked
-    stages may fail them, and the message then names the verdict's reasons.
-    Carries a machine-readable report."""
+class _EmptyDepth:
+    """An empty stage intersection at ``depth``, with the verdict of the
+    gap-lemma hypotheses there; the message names the verdict's reasons
+    when it does not apply.  Carries a machine-readable report."""
 
     def __init__(self, depth: int, verdict: GapLemmaVerdict):
         why = (" although the gap-lemma hypotheses hold there; this contradicts the gap lemma"
@@ -207,6 +217,16 @@ class GapLemmaViolation(InternalContradictionError):
 
     def report(self) -> dict:
         return {"depth": self.depth, "verdict": self.verdict.to_json()}
+
+
+class GapLemmaViolation(_EmptyDepth, InternalContradictionError):
+    """Two stage sequences do not meet at a depth where the gap-lemma
+    hypotheses hold: this contradicts the lemma and signals a bug."""
+
+
+class GapLemmaInapplicable(_EmptyDepth, HypothesisError):
+    """Two unchecked stage sequences do not meet at a depth where the
+    gap-lemma hypotheses fail: the lemma does not apply to the input."""
 
 
 def _require_refinement_chain(stages: Sequence[CantorStage], label: str) -> None:
@@ -229,13 +249,20 @@ def persistent_intersect(
     For each depth the two stages are intersected exactly; the chain picks
     one common interval per depth, each nested in the previous one (possible
     whenever all intersections are nonempty, because the per-depth common
-    sets are themselves nested).  The sample point comes from the deepest
-    link.
+    sets are themselves nested).  The deepest link is the deepest common
+    set's first widest interval, and the sample point is the one
+    ``intersect`` took inside it.  Every step compares grid ints; the
+    Fractions built are each verdict's two thicknesses (with the three
+    endpoints of the argmin report ``thickness`` returns with each), the
+    sample point and the two ends of every link.
 
     With ``check`` on, the gap-lemma hypotheses are verified at every depth:
     a hypothesis failure raises ``HypothesisError``, while an empty
     intersection under valid hypotheses raises ``GapLemmaViolation`` -- the
     latter must never happen and is treated as an internal contradiction.
+    With ``check`` off, an empty intersection is checked then: a verdict
+    that applies raises ``GapLemmaViolation``, one that fails raises
+    ``GapLemmaInapplicable``, a ``HypothesisError``.
     """
     if len(k1_stages) != len(k2_stages) or not k1_stages:
         raise DomainError("persistent_intersect needs two equal-length nonempty sequences")
@@ -252,14 +279,17 @@ def persistent_intersect(
             )
         w = intersect(s1, s2)
         if w is None:
-            raise GapLemmaViolation(max(s1.depth, s2.depth), verdict or check_hypotheses(s1, s2))
+            verdict = verdict or check_hypotheses(s1, s2)
+            error = GapLemmaViolation if verdict.applies else GapLemmaInapplicable
+            raise error(max(s1.depth, s2.depth), verdict)
         witnesses.append(w)
 
     # Choose the deepest link first (widest interval for robustness), then
     # walk back up: each common set contains the next one, so the containing
     # interval at every shallower depth exists and is unique.
+    deepest = witnesses[-1]
     chain: list[ClosedInterval] = [None] * len(witnesses)  # type: ignore[list-item]
-    chain[-1] = _widest(witnesses[-1].common)
+    chain[-1] = deepest.common._interval(_widest(deepest.common))
     for d in range(len(witnesses) - 2, -1, -1):
         host = witnesses[d].common.interval_containing(chain[d + 1])
         if host is None:
@@ -269,9 +299,8 @@ def persistent_intersect(
             )
         chain[d] = host
 
-    deepest = witnesses[-1]
     return IntersectionWitness(
         common=deepest.common,
-        sample_point=chain[-1].midpoint,
+        sample_point=deepest.sample_point,
         chain=tuple(chain),
     )

@@ -76,7 +76,7 @@ from .functions import (
     monotone_inverse,
     range_bounds,
 )
-from .gaplemma import persistent_intersect
+from .gaplemma import GapLemmaInapplicable, persistent_intersect
 
 WITNESS_WIDTH = Fraction(1, 2 ** 48)
 # Width of the certified inverse enclosing each end of the witness offset t.
@@ -137,7 +137,7 @@ def largest_gap_frame(stage: CantorStage) -> GapFrame:
     if len(lo) < 2:
         raise DomainError("no bounded gap: cannot frame a single interval")
     i = _largest_gap(lo, hi)
-    gap = Gap(stage._interval(i).hi, stage._interval(i + 1).lo)
+    gap = Gap(stage._hi(i), stage._lo(i + 1))
     left, right = ClosedInterval(stage.min, gap.lo), ClosedInterval(gap.hi, stage.max)
     if hi[i] - lo[0] >= hi[-1] - lo[i + 1]:
         x = gap.hi
@@ -201,7 +201,7 @@ def subset_extract(
         )
 
     depth, stage, j = found
-    window = bridge_at(stage, stage._interval(j).hi, LEFT).bridge
+    window = bridge_at(stage, stage._hi(j), LEFT).bridge
     if window.length >= delta:
         raise InternalContradictionError(
             f"extracted bridge {window} is not shorter than delta = {delta}"
@@ -332,6 +332,17 @@ def _witness(stages: list[CantorStage], x: Fraction,
     return ConfigWitness(x=x, t=t, ft=ft, depth=len(stages) - 1, chains=chains)
 
 
+def _deepest_link(a: CantorStage, b: CantorStage) -> ClosedInterval:
+    """The first widest interval common to two framed pieces.  The frame
+    facts the search has checked make the pieces meet, so an empty
+    intersection is a contradiction even where the pieces themselves fail
+    the gap-lemma hypotheses."""
+    try:
+        return persistent_intersect([a], [b], check=False).chain[-1]
+    except GapLemmaInapplicable as exc:
+        raise InternalContradictionError(f"the framed pieces do not meet: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # 3-AP search
 # ---------------------------------------------------------------------------
@@ -383,7 +394,7 @@ def find_3ap(family: StageFamily, max_depth: int = 12) -> ConfigWitness:
             f"bridge inequalities failed: gap {fr.gap.length}, right {fr.right_reach}, "
             f"left reach {fr.left_reach}; with thickness >= 1 this cannot happen"
         )
-    t_enc = persistent_intersect([fr.left.of(deep)], [fr.right.of(deep)], check=False).chain[-1]
+    t_enc = _deepest_link(fr.left.of(deep), fr.right.of(deep))
     return _witness(stages, fr.x, t_enc, t_enc)
 
 
@@ -602,7 +613,7 @@ def _attempt_config(
     if image_thickness_min is None:
         raise _RetryDelta("image stages never developed a bounded gap")
 
-    deepest = persistent_intersect([target.of(sub_stages[-1])], [image], check=False).chain[-1]
+    deepest = _deepest_link(target.of(sub_stages[-1]), image)
     k = image._containing_index(deepest)
     if k < 0:
         raise InternalContradictionError("deepest common interval left the image stage")
@@ -761,7 +772,7 @@ class AvoidanceReport:
         }
 
 
-def avoidance_checks(parts: dict, tau: Fraction, eps: Fraction) -> list[tuple[str, bool, str]]:
+def avoidance_checks(parts: dict, eps: Fraction) -> list[tuple[str, bool, str]]:
     """Endpoint-inequality checks on a named-parts dictionary.
 
     Exposed separately so deliberate tampering (shifting a piece into the
@@ -817,7 +828,7 @@ def verify_counterexample(
     parts = counterexample_parts(params)
     stage = counterexample_set(params)
     value = thickness(stage).value
-    checks = avoidance_checks(parts, params.tau, params.eps)
+    checks = avoidance_checks(parts, params.eps)
     ok_t = abs(value - params.tau) <= tol
     checks.append(
         (

@@ -1,5 +1,9 @@
 """Gap-lemma machinery: hypothesis verdicts, exact intersections, chains."""
 
+import functools
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +15,7 @@ from thickset import (
     CantorStage,
     ClosedInterval,
     HypothesisError,
+    InternalContradictionError,
     RandomThickSpec,
     affine_image,
     check_hypotheses,
@@ -21,7 +26,9 @@ from thickset import (
     persistent_intersect,
     random_thick_family,
 )
-from thickset.gaplemma import GapLemmaViolation, containing_gap
+from thickset import gaplemma
+from thickset.core import rational_str
+from thickset.gaplemma import GapLemmaInapplicable, GapLemmaViolation, containing_gap
 from conftest import brute_containing_gap, in_stage, probe_points
 
 
@@ -154,13 +161,33 @@ def test_persistent_intersect_reports_empty_depth():
     # depth with a verdict naming the failed product.
     thin = middle_alpha_family(F(1, 2))
     shifted = AffineFamily(thin, F(1), F(3, 8))
-    with pytest.raises(GapLemmaViolation) as err:
+    with pytest.raises(GapLemmaInapplicable) as err:
         persistent_intersect(thin.stages(1, 4), shifted.stages(1, 4), check=False)
     assert err.value.depth == 1
     assert not err.value.verdict.product_ok
     assert err.value.report()["depth"] == 1
     assert str(err.value) == ("empty stage intersection at depth 1, where the gap-lemma "
                               "hypotheses fail: thickness product 1/2 * 1/2 = 1/4 < 1")
+
+
+def test_an_empty_depth_is_a_bug_only_where_the_hypotheses_hold(monkeypatch):
+    """With check off, an empty depth whose verdict fails is the input's
+    fault, a HypothesisError; one whose verdict applies contradicts the
+    lemma.  An intersect that finds nothing stands in for the second case,
+    which no input reaches."""
+    thin = middle_alpha_family(F(1, 2))
+    with pytest.raises(HypothesisError) as err:
+        persistent_intersect(thin.stages(1, 4), AffineFamily(thin, F(1), F(3, 8)).stages(1, 4),
+                             check=False)
+    assert not isinstance(err.value, InternalContradictionError)
+    stages = middle_alpha_family(F(1, 3)).stages(1, 3)
+    monkeypatch.setattr(gaplemma, "intersect", lambda k1, k2: None)
+    with pytest.raises(GapLemmaViolation) as err:
+        persistent_intersect(stages, stages, check=False)
+    assert not isinstance(err.value, HypothesisError)
+    assert err.value.depth == 1 and err.value.verdict.applies
+    verdict = check_hypotheses(stages[0], stages[0])
+    assert err.value.report() == {"depth": 1, "verdict": verdict.to_json()}
 
 
 def test_gap_lemma_violation_says_the_hypotheses_hold_only_when_they_do():
@@ -243,3 +270,53 @@ def _hulls(draw, host):
 def test_containing_gap_against_linear_scan(pair):
     host, other = pair
     assert containing_gap(host, other) == brute_containing_gap(host, other)
+
+
+# ---------------------------------------------------------------------------
+# Pins: the certificate's bytes on 64 gap-lemma pairs
+# ---------------------------------------------------------------------------
+
+_PIN_TAUS = (F(1), F(3, 2), F(2), F(3))
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_pairs() -> tuple:
+    """64 pairs as the gap-lemma benchmark builds them, depths 1..8: a
+    random-thick family of each (tau1, tau2) in _PIN_TAUS against a second
+    one shifted right by k/1024."""
+    rng = random.Random("gap-lemma-pins")
+    pairs = []
+    for index in range(64):
+        tau1, tau2 = _PIN_TAUS[index % 4], _PIN_TAUS[(index // 4) % 4]
+        f1 = random_thick_family(RandomThickSpec(tau1, 0, rng.randrange(2 ** 32)))
+        f2 = AffineFamily(random_thick_family(RandomThickSpec(tau2, 0, rng.randrange(2 ** 32))),
+                          F(1), F(1 + rng.randrange(200), 1024))
+        pairs.append((f1.stages(1, 8), f2.stages(1, 8)))
+    return tuple(pairs)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_persistent_intersect_witnesses_are_pinned():
+    witnesses = [persistent_intersect(k1, k2, check=True).to_json()
+                 for k1, k2 in _pinned_pairs()]
+    assert _sha256(witnesses) == (
+        "6ecb3e82c547486e29604c53a3fd8e2f3820aa1b03eae298409184084fe0b8ce")
+
+
+def test_per_depth_verdicts_and_sample_points_are_pinned():
+    """Each pair's verdict and sample point at every depth, and the verdict
+    of its first stage against middle halves (thickness 1/2), which fails
+    the product for tau1 < 2."""
+    thin = middle_alpha_family(F(1, 2)).stages(1, 8)
+    rows = []
+    for k1, k2 in _pinned_pairs():
+        for s1, s2, s3 in zip(k1, k2, thin):
+            w = intersect(s1, s2)
+            rows.append([check_hypotheses(s1, s2).to_json(),
+                         None if w is None else rational_str(w.sample_point),
+                         check_hypotheses(s1, s3).to_json()])
+    assert _sha256(rows) == (
+        "e64ef9141af05569d969d5331ee8874d5990523a1b76347c93f24d3d0828d168")

@@ -988,6 +988,54 @@ def test_built_in_refinement_builds_no_fraction(name):
                                     "intervals": [iv.to_json() for iv in stage.intervals]}
 
 
+def _certificate_pair():
+    """Depths 1..8 of a random-thick family and of its shift by 37/1024."""
+    family = random_thick_family(RandomThickSpec(F(2), 0, 1))
+    return family.stages(1, 8), AffineFamily(family, F(1), F(37, 1024)).stages(1, 8)
+
+
+_RETURNED_FRACTIONS = {
+    # The value and the argmin report's three endpoints.
+    "thickness": (lambda k1, k2: thickness(k1[-1]), 4),
+    # Two thicknesses; the product is an integer cross-product.
+    "check_hypotheses": (lambda k1, k2: check_hypotheses(k1[-1], k2[-1]), 8),
+    # The sample point.
+    "intersect": (lambda k1, k2: intersect(k1[-1], k2[-1]), 1),
+    # Both per depth, then the two ends of each of the 8 links.
+    "persistent_intersect": (lambda k1, k2: persistent_intersect(k1, k2, check=True),
+                             8 * (8 + 1) + 2 * 8),
+}
+
+
+@pytest.mark.parametrize("name", list(_RETURNED_FRACTIONS))
+def test_the_gap_lemma_path_builds_only_the_fractions_it_returns(name):
+    """On grid-built stages, counted as ``Fraction.__new__`` calls; the
+    stages' intervals stay unbuilt."""
+    run, expected = _RETURNED_FRACTIONS[name]
+    k1, k2 = _certificate_pair()
+    with _fraction_count() as calls:
+        run(k1, k2)
+    assert calls == [expected]
+    assert all(map(_is_lazy, k1 + k2))
+
+
+def test_a_bridge_report_builds_the_endpoints_it_reads():
+    """bridge_at the argmin's endpoint builds the report thickness does,
+    from the same four Fractions; a stage whose intervals are built lends
+    its endpoints and builds only the local thickness."""
+    stage = _certificate_pair()[0][-1]
+    argmin = thickness(stage).argmin
+    for lazy, expected in ((True, 4), (False, 1)):
+        if not lazy:
+            stage.intervals
+        with _fraction_count() as calls:
+            report = bridge_at(stage, argmin.endpoint, argmin.side)
+        assert calls == [expected] and report == argmin
+    with _fraction_count() as calls:
+        assert stage.min == stage.intervals[0].lo and stage.max == stage.intervals[-1].hi
+    assert calls == [0]
+
+
 def _held_texts(stage: CantorStage) -> list[tuple[F, str]]:
     """(endpoint, text) for every endpoint text the stage's memo holds."""
     den, lo, hi = stage._grid

@@ -39,13 +39,15 @@ from thickset import (
     verify_mvt_bounds,
     verify_witness,
 )
-from thickset import gaplemma, persistent_intersect, search
+from thickset import cli, gaplemma, persistent_intersect, search
 from thickset.constructions import _middle_alpha_refiner
 from thickset.core import _polynomial_image
 from thickset.errors import InsufficientDepthError, InternalContradictionError
 from thickset.functions import range_bounds
 from thickset.search import (
     WITNESS_WIDTH,
+    _RetryDelta,
+    _attempt_config,
     _shrink_centered,
     _validate_delta,
     avoidance_checks,
@@ -735,7 +737,7 @@ def test_avoidance_checks_catch_tampered_parts():
     parts["I4"] = ClosedInterval(sq_lo, sq_lo + width)
     parts["G3"] = type(parts["G3"])(parts["I3"].hi, sq_lo)
     parts["G4"] = type(parts["G4"])(sq_lo + width, parts["I5"].lo)
-    checks = {name: ok for name, ok, _ in avoidance_checks(parts, params.tau, params.eps)}
+    checks = {name: ok for name, ok, _ in avoidance_checks(parts, params.eps)}
     assert not checks["squares_of_I2_reflection_inside_G3"]
 
 
@@ -800,6 +802,33 @@ def test_find_3ap_matches_the_per_level_chain(case, monkeypatch):
     monkeypatch.undo()
     chain = _oracle_chain(largest_gap_frame(family.stage(8)), family.stages(0, 8))
     assert w.t == chain[-1]
+
+
+@pytest.mark.parametrize("search", ["find_3ap", "find_config"])
+def test_framed_pieces_that_do_not_meet_are_an_internal_contradiction(search, monkeypatch,
+                                                                      capsys):
+    """The frame facts make the pieces meet, so an empty intersection is a
+    bug (exit 2), also where the pieces fail the gap-lemma hypotheses, as
+    the one-interval pieces of a depth-1 3-AP search do.  An intersect that
+    finds nothing stands in for that bug."""
+    monkeypatch.setattr(gaplemma, "intersect", lambda k1, k2: None)
+    if search == "find_3ap":
+        run = lambda: find_3ap(middle_alpha_family(F(1, 3)), max_depth=1)
+        argv = ["find-3ap", "--set-family", "middle-alpha:1/3", "--max-depth", "1"]
+        message = ("^the framed pieces do not meet: empty stage intersection at depth 1, "
+                   "where the gap-lemma hypotheses fail: thickness undefined")
+    else:
+        run = lambda: find_config(middle_alpha_family(F(1, 5)), GENTLE, SearchConfig(max_depth=4))
+        argv = ["find-config", "--set-family", "middle-alpha:1/5", "--f", "1,1/10",
+                "--max-depth", "4"]
+        message = "^empty stage intersection at depth 8 although the gap-lemma hypotheses hold"
+    with pytest.raises(InternalContradictionError, match=message) as err:
+        run()
+    assert not isinstance(err.value, HypothesisError)
+    if search == "find_3ap":
+        assert isinstance(err.value.__cause__, gaplemma.GapLemmaInapplicable)
+    assert cli.main(argv) == 2
+    assert "internal contradiction (please report)" in capsys.readouterr().err
 
 
 _CONFIG_ORACLE_CASES = {
@@ -1013,3 +1042,61 @@ def test_mvt_derivative_window_is_open_at_both_ends(slope, lower, upper):
     report = verify_mvt_bounds(F(1, 10), 1, F(3, 10), 2, FunctionSpec((slope,)))
     assert report.hypotheses["derivative_window_lower"] is lower
     assert report.hypotheses["derivative_window_upper"] is upper
+
+
+# f = s*t + c*t**2 on the box of radius tau*delta = 1/4 (tau = 2, delta = 1/8):
+# f' runs over [m, M] = [s - c/2, s + c/2], the slope window is (2/3, 3/2)
+# and both deviation budgets are eps/4.  Each pair puts one gate at its
+# equality case, with every other gate passing, then a hair past it.
+_HAIR = F(1, 10 ** 9)
+
+
+@pytest.mark.parametrize("slope, c, eps, expected", [
+    (F(2, 3) + F(1, 100), F(1, 50), F(1, 2), False),  # m = 2/3, the window's lower end
+    (F(2, 3) + F(1, 100) + _HAIR, F(1, 50), F(1, 2), True),
+    (F(3, 2) - F(1, 100), F(1, 50), F(1, 2), False),  # M = 3/2, its upper end
+    (F(3, 2) - F(1, 100) - _HAIR, F(1, 50), F(1, 2), True),
+    # M - s = s - m = 1/10 = eps/4; the inverse deviation is 8/115.
+    (F(5, 4), F(1, 5), F(2, 5), False),
+    (F(5, 4), F(1, 5), F(2, 5) + _HAIR, True),
+    # 1/m - 1/s = 10/153 = eps/4; the derivative deviation is 1/20.
+    (F(9, 10), F(1, 10), F(40, 153), False),
+    (F(9, 10), F(1, 10), F(40, 153) + _HAIR, True),
+], ids=["m-at-lower", "m-above-lower", "M-at-upper", "M-below-upper",
+        "derivative-deviation-at-budget", "derivative-deviation-below-budget",
+        "inverse-deviation-at-budget", "inverse-deviation-below-budget"])
+def test_validate_delta_gates_are_exact_at_their_equality_cases(slope, c, eps, expected):
+    f = FunctionSpec((slope, c))
+    assert _validate_delta(f, F(2), F(1, 8), eps) is expected
+    assert _four_condition_rule(f, F(2), F(1, 8), eps) is expected
+
+
+def tied_gaps_family() -> RefinableFamily:
+    """Each interval keeps its 3/10, 2/10 and 3/10 with two equal gaps of
+    1/10 between: thickness 3 at every depth.  The bridge between the tied
+    gaps is 2/10 long, so any map that stretches the farther gap more cuts
+    the t piece's image thickness to about 2."""
+    def refine(iv, _depth):
+        w = iv.hi - iv.lo
+        return [ClosedInterval(iv.lo, iv.lo + 3 * w / 10),
+                ClosedInterval(iv.lo + 4 * w / 10, iv.lo + 6 * w / 10),
+                ClosedInterval(iv.lo + 7 * w / 10, iv.hi)]
+    return RefinableFamily(make_stage([(0, 1)]), refine, name="tied-gaps")
+
+
+def test_image_thickness_gate_refuses_rho_tau_equal_to_it_and_accepts_just_below():
+    family, f = tied_gaps_family(), FunctionSpec((F(1), F(1, 100)))
+    res = find_config(family, f, SearchConfig(max_depth=2))
+    tau, tv, delta = res.tau, res.image_thickness_min, res.delta
+    assert tau == 3 and 2 < tv < 3
+    # rho*tau = tv exactly, at a delta the derivative gates still pass.
+    rho = tv / tau
+    eps = (1 - rho) / (2 * rho)
+    assert _validate_delta(f, tau, delta, eps)
+    with pytest.raises(_RetryDelta, match=rf"^image stage thickness {tv} at level 2 "
+                       rf"is not above rho\*tau = {tv}$"):
+        _attempt_config(family, f, 2, tau, rho, eps, delta)
+    below = find_config(family, f, SearchConfig(rho=rho - F(1, 10 ** 30), delta=delta,
+                                                max_depth=2))
+    assert below.delta == delta and below.image_thickness_min == tv
+    assert verify_witness(family, below.witness, f)["ok"]
